@@ -37,9 +37,17 @@ func (r *Replica) runBatcher(g *ordGroup) {
 		if err != nil {
 			return
 		}
+		if req == nil {
+			continue // cut wake-up for a batch that already flushed
+		}
+		g.openBatch.Store(batchOpen)
 		full := b.Add(req)
-		// Keep filling until the size budget or the batch delay runs out.
-		for !full {
+		// Keep filling until the size budget or the batch delay runs out, or
+		// the Protocol thread asks for the batch now: it has a slot to fill
+		// that the merge is waiting on (alignGroup), and what is already
+		// here should ride in it rather than wait out the delay behind a
+		// no-op.
+		for !full && g.openBatch.Load() != batchCutAsked {
 			remaining := time.Until(b.Deadline())
 			if remaining <= 0 {
 				break
@@ -51,7 +59,9 @@ func (r *Replica) runBatcher(g *ordGroup) {
 			if !ok {
 				break // deadline expired
 			}
-			full = b.Add(next)
+			if next != nil { // nil: cutOpenBatch's wake-up, the flag says why
+				full = b.Add(next)
+			}
 		}
 		value := b.Flush()
 		if value == nil {
@@ -61,6 +71,7 @@ func (r *Replica) runBatcher(g *ordGroup) {
 		if err := g.proposalQ.Put(th, value); err != nil {
 			return
 		}
+		g.openBatch.Store(batchIdle)
 		// Nudge the Protocol thread; if the DispatcherQueue is busy it will
 		// drain the ProposalQueue on its next event anyway.
 		_, _ = g.dispatchQ.TryPut(event{kind: evProposalReady})

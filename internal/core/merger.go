@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"gosmr/internal/paxos"
 	"gosmr/internal/profiling"
 	"gosmr/internal/wire"
@@ -17,13 +15,36 @@ import (
 // how the streams' deliveries interleave in time (see mergeState and its
 // property test).
 //
-// Liveness across idle groups: round-robin can only emit group g's slot s
-// after every earlier group filled slot s (and every group filled slot s-1).
-// If a group has no traffic while its siblings do, the merge would stall, so
-// a leader whose merge stage is blocked on a group it leads proposes an
-// empty (no-op) batch in that group — the Mencius-style "skip" — which is
-// decided through consensus like any batch and therefore unstalls every
-// replica's merge identically.
+// Liveness across uneven groups — the row clock. Call "row s" the G merged
+// slots holding every group's group-local slot s. Round-robin can only emit
+// group g's slot s after every earlier group opened row s and every group
+// opened row s-1, so a group with less traffic than its siblings must spend
+// its slots at their pace or the merge stalls. One level-triggered rule,
+// evaluated by each group's leader on its Protocol thread (alignGroup),
+// does that: fill the log until `next` reaches
+//
+//	want = max(frontier - 1, mergeWant)
+//
+// where frontier is the highest `next` of any group (rows opened so far,
+// Replica.maxSlot) and mergeWant is what the Merger demands the moment a
+// sibling's decided slot is buffered behind a row this group has not opened.
+// The first term keeps every group within one row of the busiest while that
+// row's consensus round is still in flight; the second completes the last
+// row once traffic stops (nothing else would ever open it). Neither term can
+// open a new row, so rows/s is the fastest group's real batch rate — with
+// frontier alone and no lag of one, every real batch anywhere would force
+// G-1 fills and rows/s would be the sum of all groups' rates. A missing slot
+// takes a ready batch, else the Batcher's open batch cut early (the slot must
+// be spent anyway, so it carries whatever is already waiting out BatchDelay),
+// else an empty batch — the Mencius-style "skip", decided through consensus
+// like any batch and therefore unstalling every replica's merge identically.
+//
+// Cost model: a busy group's decision waits in the merge at most one row
+// period (until its own next batch advances the frontier) or one fill round
+// trip (mergeWant), whichever comes first — independent of Window. A quiet
+// group's batches are cut at the row rate, so its ops per batch fall toward
+// its arrivals per row. A sibling whose leader is dead fills nothing; then
+// the Protocol thread's merge-backlog gate (4*Window+256) is the bound.
 
 // mergedDecision is one emitted slot of the merged total order.
 type mergedDecision struct {
@@ -109,22 +130,25 @@ func (m *mergeState) feedSnapshot(snap *wire.Snapshot) bool {
 	return true
 }
 
-// stalled reports that the merge cannot advance (the cursor group's next
-// slot is missing) while at least one other group already has decisions
-// waiting — the condition under which a leader should pad the cursor group.
-func (m *mergeState) stalled() bool {
-	cur := m.cursor()
-	for g, p := range m.pending {
-		if g != cur && len(p) > 0 {
-			return true
-		}
+// mergeNeed returns how many slots group g must have opened before group h's
+// slot s can be emitted: rows 0..s-1 entirely, and row s for the groups that
+// precede h in it.
+func mergeNeed(g, h int, s wire.InstanceID) int64 {
+	if g < h {
+		return int64(s) + 1
 	}
-	return false
+	return int64(s)
 }
 
-// mergePadRetry bounds how often a stalled merge re-issues its no-op pad
-// while waiting for the padded instance to come back decided.
-const mergePadRetry = 5 * time.Millisecond
+// slotsToFill is the fill rule (see the file header): how many slots a group
+// whose log stands at next must open now, given the proposal frontier and
+// the Merger's demand. Only a leader with window room fills.
+func slotsToFill(next, frontier, mergeWant int64, leader, windowOpen bool) int64 {
+	if !leader || !windowOpen {
+		return 0
+	}
+	return max(max(frontier-1, mergeWant)-next, 0)
+}
 
 // runMerger is the Merger thread: it drains the MergeQueue (all groups'
 // decision streams), advances the deterministic merge, and feeds the merged
@@ -173,29 +197,9 @@ func (r *Replica) runMerger() {
 		return true
 	}
 	for {
-		var gd groupDecision
-		if m.stalled() {
-			v, ok, err := r.mergeQ.Poll(th, mergePadRetry)
-			if err != nil {
-				return
-			}
-			if !ok {
-				// Nothing arrived for a whole retry period while siblings
-				// have decisions waiting: the cursor group is genuinely
-				// quiet, so pad it (and keep re-padding each period until
-				// the stall breaks). Padding on every stalled iteration
-				// instead — while sibling decisions stream in — would storm
-				// the quiet group with no-ops faster than they can decide.
-				r.maybePad(m)
-				continue
-			}
-			gd = v
-		} else {
-			v, err := r.mergeQ.Take(th)
-			if err != nil {
-				return
-			}
-			gd = v
+		gd, err := r.mergeQ.Take(th)
+		if err != nil {
+			return
 		}
 
 		if snap := gd.item.snapshot; snap != nil && gd.item.installed {
@@ -262,86 +266,78 @@ func (r *Replica) runMerger() {
 		if !emit(m.feed(gd.group, gd.item.id, gd.item.value)) {
 			return
 		}
+		if gd.item.id >= m.expect[gd.group] {
+			// Still buffered: a sibling has not decided — maybe not opened —
+			// a row ahead of it. Raise those groups' demand and wake the ones
+			// led here that have not opened it; the fill rule does the rest.
+			for _, g := range r.groups {
+				need := mergeNeed(g.idx, gd.group, gd.item.id)
+				if g.idx == gd.group || need <= g.mergeWant.Load() {
+					continue
+				}
+				g.mergeWant.Store(need)
+				if g.isLeader.Load() && g.nextSlot.Load() < need {
+					_, _ = g.dispatchQ.TryPut(event{kind: evProposalReady})
+				}
+			}
+		}
 	}
 }
 
-// maybePad proposes an empty batch in the merge's cursor group when this
-// replica leads it: the group has nothing in flight while its siblings have
-// decided ahead, so a no-op instance is the cheapest way to fill the slot
-// the whole cluster's merge is waiting on. Followers do nothing — the
-// group's leader (wherever it is) pads, and the decision reaches everyone.
-// This is the reactive safety net behind the proactive alignGroup below; it
-// matters mostly when group leadership is split across replicas.
-func (r *Replica) maybePad(m *mergeState) {
-	g := r.groups[m.cursor()]
-	if !g.isLeader.Load() {
-		return
-	}
-	if ok, _ := g.proposalQ.TryPut(wire.EncodeBatch(nil)); ok {
-		r.padsProposed.Add(1)
-		_, _ = g.dispatchQ.TryPut(event{kind: evProposalReady})
-	}
-}
-
-// alignGroup keeps the ordering groups' logs advancing in rough lockstep —
-// the Mencius-style "skip" that keeps the round-robin merge from waiting a
-// consensus round-trip on a group with no traffic. Called by each group's
-// Protocol thread after it drains its ProposalQueue: a leader that opened
-// new slots publishes the frontier and nudges siblings that have fallen
-// behind it; a leader lagging the frontier by more than the slack fills the
-// excess with no-op proposals immediately, so the padding's consensus
-// round-trip overlaps the real instances' instead of starting after the
-// merge has stalled. The slack (two windows plus a scheduler-burst floor,
-// see below) absorbs the natural in-flight jitter between evenly loaded
-// groups — those never pad; only genuinely idle or starved groups do.
+// alignGroup applies the fill rule of the file header to one group. Called by
+// the group's Protocol thread after it drains its ProposalQueue on every
+// event, so the rule is level-triggered: a lost nudge or a leadership change
+// costs nothing but the wait for the next event. Followers publish the
+// frontier too — a group's log advances as it accepts another replica's
+// Proposes, and under split group leadership the local leader of a quiet
+// group must still see the busy groups' rows to fill against them.
 func (r *Replica) alignGroup(g *ordGroup, node *paxos.Node, apply func(paxos.Effects)) {
 	if len(r.groups) == 1 {
 		return
 	}
-	// Slack absorbs benign skew so only genuinely starved groups pad: two
-	// windows for the natural in-flight difference between evenly loaded
-	// groups, plus a floor for scheduler bursts (a Protocol thread that
-	// just got the CPU can open tens of slots at once before its siblings
-	// run). Padding below that threshold would displace immediately
-	// proposable real batches one-for-one and oscillate the groups.
-	slack := 2*int64(r.cfg.Window) + 16
-	// Publish the frontier from followers too: a group's log advances as it
-	// accepts another replica's Proposes, and under split group leadership
-	// (views drifted) the local leader of a quiet group must still see the
-	// busy groups' frontier to pad against it.
+	for n := slotsToFill(int64(node.Log().Next()), r.maxSlot.Load(), g.mergeWant.Load(),
+		node.IsLeader(), node.WindowOpen()); n > 0 && node.WindowOpen(); n-- {
+		value, ok := g.proposalQ.TryTake()
+		if !ok {
+			if r.cutOpenBatch(g) {
+				break // the cut batch arrives with its own evProposalReady
+			}
+			value = wire.EncodeBatch(nil)
+			r.padsProposed.Add(1)
+		}
+		e, accepted := node.ProposeBatch(value)
+		if !accepted {
+			break
+		}
+		apply(e)
+	}
 	next := int64(node.Log().Next())
 	g.nextSlot.Store(next)
 	for {
 		cur := r.maxSlot.Load()
 		if next <= cur {
-			break
+			return
 		}
 		if r.maxSlot.CompareAndSwap(cur, next) {
-			// Frontier extended: wake sibling Protocol threads that lag it
-			// by more than the slack (a plain proposal-ready nudge re-runs
-			// this alignment on their event loop, even when idle).
-			for _, h := range r.groups {
-				if h != g && next-h.nextSlot.Load() > slack {
-					_, _ = h.dispatchQ.TryPut(event{kind: evProposalReady})
-				}
-			}
 			break
 		}
 	}
-	if !node.IsLeader() {
-		return
-	}
-	// Cap the pads per pass: catching up gradually keeps window slots
-	// available for real batches that arrive mid-catch-up, and the next
-	// event (each pad's own decision, a nudge, a heartbeat) re-runs this,
-	// so a truly idle group still pads at the busy groups' full rate.
-	for pads := 0; pads < 4 && int64(node.Log().Next())+slack < r.maxSlot.Load() && node.WindowOpen(); pads++ {
-		e, ok := node.ProposeBatch(wire.EncodeBatch(nil))
-		if !ok {
-			break
+	// Frontier extended: wake the sibling leaders it leaves more than a row
+	// behind (a plain proposal-ready nudge re-runs this on their event loop).
+	for _, h := range r.groups {
+		if h != g && h.isLeader.Load() && h.nextSlot.Load() < next-1 {
+			_, _ = h.dispatchQ.TryPut(event{kind: evProposalReady})
 		}
-		r.padsProposed.Add(1)
-		apply(e)
 	}
-	g.nextSlot.Store(int64(node.Log().Next()))
+}
+
+// cutOpenBatch asks the group's Batcher to flush the batch it is filling now
+// instead of at its deadline, and reports whether one is on its way. The nil
+// request only wakes the Batcher out of its Poll; the flag carries the ask,
+// so a full RequestQueue loses nothing.
+func (r *Replica) cutOpenBatch(g *ordGroup) bool {
+	if g.openBatch.CompareAndSwap(batchOpen, batchCutAsked) {
+		_, _ = g.requestQ.TryPut(nil)
+	}
+	return g.openBatch.Load() != batchIdle
 }

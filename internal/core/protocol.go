@@ -19,6 +19,8 @@ type protoState struct {
 	// watermark reaches their lsn. Owned exclusively by the Protocol
 	// thread; the WAL Syncer only nudges the thread with evDurable.
 	gate []gatedEffects
+	// toldUpTo is the watermark of the last drain beat (see runProtocol).
+	toldUpTo wire.InstanceID
 	// topoEpoch is the topology epoch this group has installed (journaled
 	// and handed to its node); the thread polls Replica.pendingTopo against
 	// it at the top of every loop iteration.
@@ -216,7 +218,16 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 		if !r.releaseDurable(th, g, ps) {
 			return
 		}
-		g.decidedUpTo.Store(int64(node.DecidedUpTo()))
+		// Followers learn a decision from the next Propose or heartbeat, and
+		// the shared failure detector beats only for group 0's leader. A group
+		// led apart from it (views drifted) therefore tells its followers
+		// itself when its pipeline drains; otherwise its last decision would
+		// hold every other replica's merge until traffic resumed.
+		if d := node.DecidedUpTo(); d > ps.toldUpTo && node.InFlight() == 0 &&
+			node.IsLeader() && !r.groups[0].isLeader.Load() {
+			ps.toldUpTo = d
+			r.broadcast(wrapGroup(g.idx, &wire.Heartbeat{View: node.View(), DecidedUpTo: d}))
+		}
 	}
 }
 
@@ -227,6 +238,12 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 // instead, until the WAL covers the records this event journaled.
 func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.Node,
 	ps *protoState, e paxos.Effects) {
+
+	// Publish the watermark before any decision of this event can reach the
+	// MergeQueue (directly, or later through the durable gate): once it is
+	// there it can be executed and acknowledged, and readFrontier() must
+	// never answer a read-index query with less than an acknowledged write.
+	g.decidedUpTo.Store(int64(node.DecidedUpTo()))
 
 	if g.wal != nil && g.wal.Failed() != nil {
 		// Fail-stop: the WAL hit a write/fsync fault, so records this event

@@ -49,10 +49,20 @@ type ordGroup struct {
 	leaderHint  atomic.Int32
 	isLeader    atomic.Bool
 	decidedUpTo atomic.Int64
-	nextSlot    atomic.Int64 // log frontier hint, for cross-group alignment
+	nextSlot    atomic.Int64 // slots this group has opened, for alignGroup
 	mergedUpTo  atomic.Int64 // slots of this group the merge stage has consumed
+	mergeWant   atomic.Int64 // slots the Merger needs this group to have opened
+	openBatch   atomic.Int32 // Batcher → Protocol: batchIdle/batchOpen/batchCutAsked
 	readBarrier atomic.Int64 // first fresh instance of this leadership (lease reads)
 }
+
+// ordGroup.openBatch states: the Batcher marks the batch it is filling open,
+// the Protocol thread may ask for it early (cutOpenBatch), the flush clears.
+const (
+	batchIdle int32 = iota
+	batchOpen
+	batchCutAsked
+)
 
 // gname derives a per-group thread/queue name; group 0 keeps the paper's
 // original names so single-group profiles and statistics read unchanged.
@@ -144,10 +154,9 @@ type Replica struct {
 	// ServiceManager thread; never touched elsewhere.
 	execSeq map[uint64]schedEntry
 
-	// maxSlot is the highest group-local slot any group has opened — the
-	// proposal frontier. Group leaders align to it by proposing no-ops
-	// (Mencius-style skips) so the round-robin merge never waits a full
-	// consensus round-trip on an idle group (see alignGroup in merger.go).
+	// maxSlot is the most slots any group has opened — the proposal
+	// frontier, the row clock every group's leader fills its log against
+	// (see alignGroup in merger.go).
 	maxSlot atomic.Int64
 
 	// bootSnap is the snapshot recovery booted from (nil without DataDir or
@@ -407,7 +416,10 @@ func (r *Replica) SnapshotImage() []byte { return r.snapshots.imageCopy() }
 // QueueStats reports the time-averaged lengths of the three queues of
 // Table I (per ordering group) plus the merge and decision queues and, when
 // parallel execution is enabled, each executor worker's queue
-// (ExecutorQueue-i).
+// (ExecutorQueue-i). With several ordering groups it also carries each
+// group's instantaneous merge lag, MergeLag-g<i>: slots the group has
+// decided that the merge has not consumed — the group that stays high is
+// waiting on its siblings, the ones at zero are those it waits for.
 func (r *Replica) QueueStats() map[string]float64 {
 	stats := map[string]float64{
 		"MergeQueue":    r.mergeQ.AvgLen(),
@@ -417,6 +429,9 @@ func (r *Replica) QueueStats() map[string]float64 {
 		stats[g.requestQ.Name()] = g.requestQ.AvgLen()
 		stats[g.proposalQ.Name()] = g.proposalQ.AvgLen()
 		stats[g.dispatchQ.Name()] = g.dispatchQ.AvgLen()
+		if len(r.groups) > 1 {
+			stats[fmt.Sprintf("MergeLag-g%d", g.idx)] = float64(g.decidedUpTo.Load() - g.mergedUpTo.Load())
+		}
 	}
 	for name, avg := range r.exec.QueueStats() {
 		stats[name] = avg

@@ -12,7 +12,7 @@ import (
 // full sweep is `gosmr-bench -experiment groupscaling`).
 func TestGroupScalingSmoke(t *testing.T) {
 	r := GroupScaling(GroupOptions{
-		Groups:      []int{1, 2},
+		Groups:      []int{1, 2, 4},
 		Windows:     []int{4},
 		ConflictPct: []int{0},
 		Clients:     8,
@@ -20,12 +20,17 @@ func TestGroupScalingSmoke(t *testing.T) {
 		Warmup:      80 * time.Millisecond,
 		Measure:     150 * time.Millisecond,
 	})
-	if len(r.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(r.Cells))
+	if len(r.Cells) != 3 {
+		t.Fatalf("cells = %d, want 3", len(r.Cells))
 	}
 	for _, c := range r.Cells {
 		if c.Batches <= 0 {
 			t.Errorf("G=%d cell decided no batches", c.Groups)
+		}
+		// Evenly saturated groups always have a ready batch for the slot the
+		// fill rule wants, so alignment must cost them no no-op instance.
+		if c.Pads != 0 {
+			t.Errorf("G=%d cell at 0%% conflict proposed %.0f pads/s, want 0", c.Groups, c.Pads)
 		}
 	}
 	if s := r.Speedup(2, 4, 0); s <= 0 {
