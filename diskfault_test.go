@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +235,71 @@ func TestDiskFaultMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestLeaderFsyncFaultLosesNoAckedWrite fails the LEADER's WAL fsync in the
+// middle of a concurrent write stream. Under group commit the leader's
+// proposals and decisions do not wait for its own disk, so at the moment of
+// the fault it has proposed — and, with its followers' votes, decided and
+// acknowledged — commands its own log never held durably. It must still
+// fail-stop, the survivors must elect around it, and every write any client
+// saw acknowledged must be on all three replicas once the ex-leader is
+// restarted on a healthy disk: an acknowledged write is a fact about two
+// durable acceptors, whichever two they were.
+func TestLeaderFsyncFaultLosesNoAckedWrite(t *testing.T) {
+	const (
+		prefix  = "lff"
+		writers = 4
+	)
+	c := newFaultCluster(t, prefix, 1, 0)
+	warm := c.client()
+	putKeys(t, warm, "warm", 0, 5)
+	if !c.reps[0].IsLeader() {
+		t.Fatal("setup: replica 0 does not lead")
+	}
+	c.fss[0].Fail(vfs.Rule{Op: vfs.OpSync, Path: ".seg", Nth: 25, Sticky: true})
+
+	var wg sync.WaitGroup
+	acked := make([]int, writers)
+	for w := range writers {
+		cli := c.client()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Stop 10 writes after the leader latched its fault: those went
+			// through the failover.
+			for after := 0; acked[w] < 3000 && after < 10; acked[w]++ {
+				if c.reps[0].Faulted() {
+					after++
+				}
+				reply, err := cli.Execute(service.EncodePut(fmt.Sprintf("w%d-%d", w, acked[w]), []byte("v")))
+				if err != nil {
+					t.Errorf("writer %d: PUT %d: %v", w, acked[w], err)
+					return
+				}
+				if st, _ := service.DecodeReply(reply); st != service.KVOK {
+					t.Errorf("writer %d: PUT %d status %d", w, acked[w], st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !c.reps[0].Faulted() {
+		t.Fatalf("leader never fail-stopped (trips=%v)", c.fss[0].Trips())
+	}
+	total := 5
+	for _, n := range acked {
+		total += n
+	}
+	// The survivors alone hold every acknowledged write...
+	waitKV(t, c.stores[1:], total, 30*time.Second)
+	// ...and the ex-leader, restarted from whatever its faulty run left on
+	// disk, converges on the same state.
+	c.kill(0)
+	c.bootClean(0)
+	waitKV(t, c.stores, total, 30*time.Second)
+	waitReplyCaches(t, c.reps, 20*time.Second)
 }
 
 // TestCorruptWALSegmentBootQuarantines corrupts a SEALED (non-final) WAL

@@ -166,10 +166,12 @@ func TestReadFrontierCoversExecutedWrites(t *testing.T) {
 						conf.Groups = groups
 						// One request per batch and a wide window: the Protocol
 						// thread opens many instances after it emitted a
-						// decision, which is the time the parent's watermark
-						// lagged (20-50 ops in 50 000 caught it there, ungated;
-						// gated, the parent's store directly followed the
-						// release and the cases only guard the new placement).
+						// decision, which is the time a watermark published at
+						// the end of the loop iteration lags. Gated groups run
+						// the same race: their decisions go to the MergeQueue
+						// as directly as an in-memory group's, the moment the
+						// second durable vote — the leader's own from the gate,
+						// or a follower's — is counted.
 						conf.Batch = batch.Policy{MaxBytes: 1, MaxDelay: time.Millisecond}
 						conf.Window = 64
 						if gated {
@@ -211,6 +213,16 @@ func TestReadFrontierCoversExecutedWrites(t *testing.T) {
 				}
 				if n := leaderSvc.stale.Load(); n != 0 {
 					t.Errorf("%d of %d ops executed on the leader while readFrontier() did not cover them", n, ops)
+				}
+				// The gated cases must have run the deferred-vote path: every
+				// group reports its gate, and only then.
+				stats := c.reps[0].QueueStats()
+				for g := range groups {
+					for _, name := range []string{"DurableGate", "SelfVoteLag"} {
+						if _, ok := stats[fmt.Sprintf("%s-g%d", name, g)]; ok != gated {
+							t.Errorf("QueueStats has %s-g%d = %v, want %v", name, g, ok, gated)
+						}
+					}
 				}
 			})
 		}

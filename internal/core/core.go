@@ -325,7 +325,7 @@ const (
 	// Merger's idempotent post-jump nudge to sibling groups.
 	evFastForward
 	// evDurable wakes the Protocol thread after the group's WAL Syncer
-	// advanced the durable watermark, so effects gated on durability are
+	// advanced the durable watermark, so votes gated on durability are
 	// released. Carries no payload: the thread re-reads the watermark.
 	evDurable
 )

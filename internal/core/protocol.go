@@ -12,13 +12,15 @@ import (
 
 // protoState is the Protocol thread's private bookkeeping: retransmission
 // handles and — when the group's WAL runs under group commit — the durable
-// gate holding effects whose WAL records have not been fsynced yet.
+// gate holding votes whose WAL records have not been fsynced yet.
 type protoState struct {
 	handles map[paxos.RetransKey]*retrans.Handle
-	// gate is a FIFO of effect batches parked until the WAL's durable
-	// watermark reaches their lsn. Owned exclusively by the Protocol
-	// thread; the WAL Syncer only nudges the thread with evDurable.
-	gate []gatedEffects
+	// gate is a FIFO of votes parked until the WAL's durable watermark
+	// reaches their lsn; gate[:gateHead] is already released and the backing
+	// array is reused. Owned exclusively by the Protocol thread; the WAL
+	// Syncer only nudges the thread with evDurable.
+	gate     []gatedVote
+	gateHead int
 	// toldUpTo is the watermark of the last drain beat (see runProtocol).
 	toldUpTo wire.InstanceID
 	// topoEpoch is the topology epoch this group has installed (journaled
@@ -27,19 +29,13 @@ type protoState struct {
 	topoEpoch int64
 }
 
-// gatedSend is one peer-bound message awaiting durability.
-type gatedSend struct {
-	to  int // peer ID or paxos.Broadcast
-	msg wire.Message
+// gatedVote is one message that speaks for this replica's acceptor
+// (paxos.SendEffect.Vote), parked until the WAL is durable up to lsn.
+type gatedVote struct {
+	lsn int64
+	to  int          // peer ID, paxos.Broadcast, or this replica: the leader's vote for its own proposal
+	msg wire.Message // not yet group-wrapped; nil once cancelled while parked
 	key *paxos.RetransKey
-}
-
-// gatedEffects is the output of one protocol event, parked until the WAL is
-// durable up to lsn.
-type gatedEffects struct {
-	lsn   int64
-	sends []gatedSend
-	items []decisionItem // snapshot installs and decisions, in order
 }
 
 // runProtocol is one ordering group's Protocol thread (Sec. V-C2): a single
@@ -51,12 +47,15 @@ type gatedEffects struct {
 // group's decisions toward the merge stage, and maintain the lock-free
 // view/leader/watermark hints that other modules read.
 //
-// With a WAL under group commit, every effect whose event journaled new
-// records is parked in the durable gate and released once the Syncer's
-// fsync covers it. This is what makes a kill -9 safe: no promise, accepted
-// value, or decision leaves this replica — as a message or as an executed
-// request — before it is on disk. The Protocol thread itself never waits
-// for the disk; it parks the output and moves to the next event.
+// With a WAL under group commit one rule makes a kill -9 safe: a vote or a
+// promise leaves its acceptor only when it is on disk. The node marks such a
+// message (paxos.SendEffect.Vote) and the durable gate parks it until the
+// Syncer's fsync covers it — including the leader's vote for its own
+// proposal, which re-enters the node from the gate like any peer's Accept.
+// Proposals and decisions are never parked: a decision needs a majority of
+// votes, each durable before it was cast, so it — and the watermark that
+// announces it — is already a fact when this replica learns it. The Protocol
+// thread itself never waits for the disk.
 func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 	defer r.wg.Done()
 	th := r.profThread(gname("Protocol", g.idx))
@@ -90,8 +89,7 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 				g.wal.Append(wal.Record{Type: wal.RecTopo, Value: wire.EncodeTopology(t)})
 			}
 			crashPoint("reconfig-journal")
-			node.SetTopology(t)
-			apply(node.AdvanceTo(t.BaseView))
+			apply(node.SetTopology(t))
 			r.refreshHints(g, node)
 		}
 		switch ev.kind {
@@ -170,7 +168,8 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 				// Install ack: echo the installed marker into this group's
 				// decision stream, behind the cut and any decisions this
 				// event released, so the Merger jumps its position in order.
-				if !r.emitItem(th, g, ps, decisionItem{snapshot: ev.snap, installed: true}) {
+				if err := r.mergeQ.Put(th, groupDecision{group: g.idx,
+					item: decisionItem{snapshot: ev.snap, installed: true}}); err != nil {
 					return
 				}
 			}
@@ -215,8 +214,10 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 			apply(e)
 		}
 		r.alignGroup(g, node, apply)
-		if !r.releaseDurable(th, g, ps) {
-			return
+		if g.gated {
+			r.releaseDurable(th, g, node, ps)
+			g.gateLen.Store(int32(len(ps.gate) - ps.gateHead))
+			g.selfVoteLag.Store(int32(node.SelfVotesPending()))
 		}
 		// Followers learn a decision from the next Propose or heartbeat, and
 		// the shared failure detector beats only for group 0's leader. A group
@@ -234,49 +235,47 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 // applyEffects executes one Effects value from a group's protocol state
 // machine. Peer-bound messages are tagged with the group (group 0 stays
 // unwrapped), and decisions flow into the MergeQueue for the merge stage.
-// Under group commit the sends and decisions are parked in the durable gate
-// instead, until the WAL covers the records this event journaled.
+// Under group commit the votes among the sends are parked in the durable
+// gate until the WAL covers the records this event journaled.
 func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.Node,
 	ps *protoState, e paxos.Effects) {
 
 	// Publish the watermark before any decision of this event can reach the
-	// MergeQueue (directly, or later through the durable gate): once it is
-	// there it can be executed and acknowledged, and readFrontier() must
-	// never answer a read-index query with less than an acknowledged write.
+	// MergeQueue: once it is there it can be executed and acknowledged, and
+	// readFrontier() must never answer a read-index query with less than an
+	// acknowledged write.
 	g.decidedUpTo.Store(int64(node.DecidedUpTo()))
 
 	if g.wal != nil && g.wal.Failed() != nil {
 		// Fail-stop: the WAL hit a write/fsync fault, so records this event
-		// journaled may not be on disk. Emit nothing — under SyncBatch the
-		// durable gate would hold the output anyway (the watermark is frozen),
-		// but SyncAlways has no gate, and a reply acknowledging an
-		// un-journaled accept is exactly the loss fail-stop exists to prevent.
-		// The OnFault callback is already tearing the replica down.
+		// journaled may not be on disk. Emit nothing: the gate would hold a
+		// vote forever anyway (the watermark is frozen), but SyncAlways has
+		// no gate, and a vote for an un-journaled accept is exactly the loss
+		// fail-stop exists to prevent. The OnFault callback is already
+		// tearing the replica down.
 		return
 	}
 
-	// Cancels first: the lock-free flag flip of Sec. V-C4. A cancelled
-	// message still parked in the durable gate must not be sent at release
-	// (nothing would ever cancel its retransmission), so the gate is
-	// scrubbed too.
+	// Cancels first: the lock-free flag flip of Sec. V-C4. Only a Prepare
+	// parks with a retransmission key; one cancelled while still parked must
+	// not be sent at release (nothing would ever cancel it again).
 	for _, k := range e.CancelRetrans {
 		if h, ok := ps.handles[k]; ok {
 			h.Cancel()
 			delete(ps.handles, k)
 		}
-		for gi := range ps.gate {
-			sends := ps.gate[gi].sends[:0]
-			for _, s := range ps.gate[gi].sends {
-				if s.key == nil || *s.key != k {
-					sends = append(sends, s)
-				}
+		if k.Kind != paxos.RetransPrepare {
+			continue
+		}
+		for i := ps.gateHead; i < len(ps.gate); i++ {
+			if v := &ps.gate[i]; v.key != nil && *v.key == k {
+				v.msg = nil
 			}
-			ps.gate[gi].sends = sends
 		}
 	}
 
 	if e.ViewChanged {
-		// Journal the promise before any output of this event computes its
+		// Journal the promise before any vote of this event computes its
 		// gate position: the new view must be durable before a PrepareOK or
 		// Accept sent under it reaches a peer.
 		if g.wal != nil {
@@ -288,44 +287,37 @@ func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.No
 		}
 	}
 
-	if g.gated {
-		sends := make([]gatedSend, 0, len(e.Sends))
-		for _, s := range e.Sends {
-			sends = append(sends, gatedSend{to: s.To, msg: wrapGroup(g.idx, s.Msg), key: s.Retrans})
+	lsn := int64(-1) // gate position of this event's votes, read on first use
+	for _, s := range e.Sends {
+		if g.gated && s.Vote {
+			if lsn < 0 {
+				lsn = g.wal.AppendedLSN()
+			}
+			// FIFO behind whatever is parked. The leader's own vote always
+			// parks: it re-enters the node, which must happen after this
+			// event's decisions are in the MergeQueue (stream order).
+			if s.To == r.cfg.ID || ps.gateHead < len(ps.gate) || g.wal.DurableLSN() < lsn {
+				ps.gate = append(ps.gate, gatedVote{lsn: lsn, to: s.To, msg: s.Msg, key: s.Retrans})
+				continue
+			}
 		}
-		var items []decisionItem
-		// Snapshot install must precede the decisions that follow it.
-		if e.InstallSnapshot != nil {
-			items = append(items, decisionItem{meta: e.InstallSnapshot})
+		r.sendOne(g, ps, s.To, wrapGroup(g.idx, s.Msg), s.Retrans)
+		if g.gated && !s.Vote && s.Retrans != nil {
+			// A Propose is on its way and its accept record is not on disk.
+			crashPoint("propose-sent")
 		}
-		for _, d := range e.Decisions {
-			items = append(items, decisionItem{id: d.ID, value: d.Value})
-		}
-		lsn := g.wal.AppendedLSN()
-		if len(ps.gate) > 0 || g.wal.DurableLSN() < lsn {
-			// Park. FIFO order through the gate preserves the per-group
-			// decision order the merge stage depends on.
-			ps.gate = append(ps.gate, gatedEffects{lsn: lsn, sends: sends, items: items})
-		} else if !r.emitEffects(th, g, ps, sends, items) {
+	}
+	// Snapshot install must precede the decisions that follow it.
+	if e.InstallSnapshot != nil {
+		if err := r.mergeQ.Put(th, groupDecision{group: g.idx,
+			item: decisionItem{meta: e.InstallSnapshot}}); err != nil {
 			return
 		}
-	} else {
-		// Direct path (no gating — the default in-memory replica and the
-		// always/none policies): no intermediate slices on the hot path.
-		for _, s := range e.Sends {
-			r.sendOne(g, ps, s.To, wrapGroup(g.idx, s.Msg), s.Retrans)
-		}
-		if e.InstallSnapshot != nil {
-			if err := r.mergeQ.Put(th, groupDecision{group: g.idx,
-				item: decisionItem{meta: e.InstallSnapshot}}); err != nil {
-				return
-			}
-		}
-		for _, d := range e.Decisions {
-			if err := r.mergeQ.Put(th, groupDecision{group: g.idx,
-				item: decisionItem{id: d.ID, value: d.Value}}); err != nil {
-				return
-			}
+	}
+	for _, d := range e.Decisions {
+		if err := r.mergeQ.Put(th, groupDecision{group: g.idx,
+			item: decisionItem{id: d.ID, value: d.Value}}); err != nil {
+			return
 		}
 	}
 
@@ -355,20 +347,6 @@ func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.No
 	}
 }
 
-// emitItem pushes one decision-stream item toward the merge stage, through
-// the durable gate when the group is gated (FIFO with everything already
-// parked, so stream order is preserved). Returns false on shutdown.
-func (r *Replica) emitItem(th *profiling.Thread, g *ordGroup, ps *protoState, item decisionItem) bool {
-	if g.gated {
-		lsn := g.wal.AppendedLSN()
-		if len(ps.gate) > 0 || g.wal.DurableLSN() < lsn {
-			ps.gate = append(ps.gate, gatedEffects{lsn: lsn, items: []decisionItem{item}})
-			return true
-		}
-	}
-	return r.emitEffects(th, g, ps, nil, []decisionItem{item})
-}
-
 // sendOne transmits a (group-wrapped) message and registers its
 // retransmission when key is non-nil.
 func (r *Replica) sendOne(g *ordGroup, ps *protoState, to int, msg wire.Message, key *paxos.RetransKey) {
@@ -388,48 +366,33 @@ func (r *Replica) sendOne(g *ordGroup, ps *protoState, to int, msg wire.Message,
 	}
 }
 
-// emitEffects transmits sends (registering retransmissions) and pushes
-// items to the merge stage. Returns false when the replica is shutting down
-// (MergeQueue closed).
-func (r *Replica) emitEffects(th *profiling.Thread, g *ordGroup, ps *protoState,
-	sends []gatedSend, items []decisionItem) bool {
-
-	for _, s := range sends {
-		r.sendOne(g, ps, s.to, s.msg, s.key)
-	}
-	for _, it := range items {
-		if err := r.mergeQ.Put(th, groupDecision{group: g.idx, item: it}); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// releaseDurable emits every gated effect batch the WAL's durable watermark
-// has reached, in park order. Returns false on shutdown.
-func (r *Replica) releaseDurable(th *profiling.Thread, g *ordGroup, ps *protoState) bool {
-	if len(ps.gate) == 0 {
-		return true
+// releaseDurable lets every parked vote the WAL's durable watermark has
+// reached leave, in park order: to its peer, or — the leader's own — back
+// into the node, whose decision then takes the same path as any other.
+func (r *Replica) releaseDurable(th *profiling.Thread, g *ordGroup, node *paxos.Node, ps *protoState) {
+	if ps.gateHead == len(ps.gate) {
+		return
 	}
 	durable := g.wal.DurableLSN()
-	n := 0
-	for _, ge := range ps.gate {
-		if ge.lsn > durable {
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		return true
-	}
-	released := ps.gate[:n]
-	ps.gate = append([]gatedEffects(nil), ps.gate[n:]...)
-	for _, ge := range released {
-		if !r.emitEffects(th, g, ps, ge.sends, ge.items) {
-			return false
+	for ps.gateHead < len(ps.gate) && ps.gate[ps.gateHead].lsn <= durable {
+		v := ps.gate[ps.gateHead]
+		ps.gateHead++
+		switch {
+		case v.msg == nil: // cancelled while parked
+		case v.to == r.cfg.ID:
+			r.applyEffects(th, g, node, ps, node.HandleMessage(v.to, v.msg))
+		default:
+			r.sendOne(g, ps, v.to, wrapGroup(g.idx, v.msg), v.key)
 		}
 	}
-	return true
+	// Reuse the array: restart it when drained, slide the tail down once
+	// the released prefix is the larger half (amortized O(1) per vote), and
+	// drop the references of everything released or moved.
+	if rest := len(ps.gate) - ps.gateHead; rest < ps.gateHead {
+		copy(ps.gate, ps.gate[ps.gateHead:])
+		clear(ps.gate[rest:])
+		ps.gate, ps.gateHead = ps.gate[:rest], 0
+	}
 }
 
 // refreshHints publishes the group's view/leader/leadership hints read

@@ -127,7 +127,7 @@ func (r *Replica) recoverBoot() (*bootState, error) {
 			RetainCheckpoints: r.cfg.WALRetainCheckpoints,
 			RetainBytes:       r.cfg.WALRetainBytes,
 			OnDurable: func(int64) {
-				// Wake the group's Protocol thread so it releases effects
+				// Wake the group's Protocol thread so it releases the votes
 				// gated on this sync. TryPut suffices: a full DispatcherQueue
 				// means the thread is already awake and re-checks the durable
 				// watermark after every event.

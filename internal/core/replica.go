@@ -37,11 +37,15 @@ type ordGroup struct {
 	retr *retrans.Retransmitter
 
 	// wal is the group's write-ahead log (nil without Config.DataDir).
-	// gated reports that protocol output must wait for the WAL's durable
-	// watermark (SyncBatch group commit; SyncAlways is durable inline and
-	// SyncNone opts out of the guarantee).
-	wal   *wal.WAL
-	gated bool
+	// gated reports that votes must wait for the WAL's durable watermark
+	// (SyncBatch group commit; SyncAlways is durable inline and SyncNone
+	// opts out of the guarantee). gateLen and selfVoteLag are what the
+	// Protocol thread last saw parked: votes in the durable gate, and open
+	// instances whose own vote is not durable yet (QueueStats).
+	wal         *wal.WAL
+	gated       bool
+	gateLen     atomic.Int32
+	selfVoteLag atomic.Int32
 
 	// Shared lock-free hints (the paper's "volatile variable" exceptions),
 	// one set per group because views and watermarks are per group.
@@ -419,7 +423,13 @@ func (r *Replica) SnapshotImage() []byte { return r.snapshots.imageCopy() }
 // (ExecutorQueue-i). With several ordering groups it also carries each
 // group's instantaneous merge lag, MergeLag-g<i>: slots the group has
 // decided that the merge has not consumed — the group that stays high is
-// waiting on its siblings, the ones at zero are those it waits for.
+// waiting on its siblings, the ones at zero are those it waits for. Under
+// group commit each group adds DurableGate-g<i>, the votes parked behind the
+// WAL right now, and SelfVoteLag-g<i>, the open instances this leader
+// proposed whose own vote is not durable yet: a lag equal to the instances
+// in flight means this replica's own vote is among those each commit waits
+// for, a lag near zero with instances in flight means commits wait for the
+// followers.
 func (r *Replica) QueueStats() map[string]float64 {
 	stats := map[string]float64{
 		"MergeQueue":    r.mergeQ.AvgLen(),
@@ -431,6 +441,10 @@ func (r *Replica) QueueStats() map[string]float64 {
 		stats[g.dispatchQ.Name()] = g.dispatchQ.AvgLen()
 		if len(r.groups) > 1 {
 			stats[fmt.Sprintf("MergeLag-g%d", g.idx)] = float64(g.decidedUpTo.Load() - g.mergedUpTo.Load())
+		}
+		if g.gated {
+			stats[fmt.Sprintf("DurableGate-g%d", g.idx)] = float64(g.gateLen.Load())
+			stats[fmt.Sprintf("SelfVoteLag-g%d", g.idx)] = float64(g.selfVoteLag.Load())
 		}
 	}
 	for name, avg := range r.exec.QueueStats() {
@@ -602,6 +616,7 @@ func (r *Replica) Start() error {
 			gb.log.SetJournal(walJournal{w: gb.wal})
 			opts.Log = gb.log
 			opts.View = gb.view
+			opts.DeferSelfVote = g.gated
 			// Catch-up tier 2: serve decided values the in-memory log has
 			// truncated from the group's WAL (it retains one checkpoint
 			// generation below the cut), so moderately lagging peers refill
@@ -681,8 +696,8 @@ func (r *Replica) Stop() {
 	})
 	r.wg.Wait()
 	// WALs close only after every journaling goroutine has exited. A
-	// graceful close drains pending appends; anything it would lose was
-	// never observable outside this process (output is durability-gated).
+	// graceful close drains pending appends; a vote it would lose never
+	// left this process (votes are durability-gated).
 	for _, g := range r.groups {
 		if g.wal != nil {
 			g.wal.Close()

@@ -11,6 +11,10 @@
 //   - Followers send Phase 2b (Accept) only to the leader. They learn
 //     decisions from the DecidedUpTo watermark piggybacked on Propose and
 //     Heartbeat messages, and fill gaps via catch-up.
+//   - The leader's own acceptor is just another acceptor: with
+//     Options.DeferSelfVote its Phase 2b vote is an Accept addressed to
+//     itself, which the caller hands back once the accept is durable, so the
+//     leader's disk works beside its followers' instead of ahead of them.
 //
 // The Node is a pure state machine: it performs no I/O and starts no
 // goroutines. Every event handler returns an Effects value describing what
@@ -61,10 +65,20 @@ func (k RetransKey) String() string {
 
 // SendEffect instructs the caller to transmit Msg. If Retrans is non-nil the
 // message must be registered for retransmission under that key.
+//
+// Vote marks a message that speaks for this node's acceptor: a Phase 2b
+// vote, a Phase 1b promise, or the Prepare by which a candidate counts its
+// own promise. A caller that journals the log must hold it until everything
+// journaled so far is durable — an acceptor that forgets a vote it cast
+// breaks quorum intersection. Nothing else needs holding: a Propose carries
+// no acceptor state (the leader's vote for it is a separate Accept, and a
+// restarted leader takes a fresh ballot, see Start), and decisions and
+// catch-up values are facts about a majority of such votes.
 type SendEffect struct {
-	To      int // peer ID, or Broadcast
+	To      int // peer ID, Broadcast, or this node's own ID (Options.DeferSelfVote)
 	Msg     wire.Message
 	Retrans *RetransKey
+	Vote    bool
 }
 
 // Decision is one decided instance, emitted in strict log order.
@@ -124,8 +138,8 @@ func (e *Effects) send(to int, msg wire.Message) {
 	e.Sends = append(e.Sends, SendEffect{To: to, Msg: msg})
 }
 
-func (e *Effects) sendReliable(to int, msg wire.Message, key RetransKey) {
-	e.Sends = append(e.Sends, SendEffect{To: to, Msg: msg, Retrans: &key})
+func (e *Effects) vote(to int, msg wire.Message) {
+	e.Sends = append(e.Sends, SendEffect{To: to, Msg: msg, Vote: true})
 }
 
 // SnapshotProvider supplies the metadata of the most recent snapshot for
@@ -185,6 +199,12 @@ type Node struct {
 
 	open map[wire.InstanceID]*openInstance
 
+	// deferSelfVote: see Options.DeferSelfVote. staleView is the view a
+	// recovered node restarted in and must never lead again (see Start);
+	// storage.NoView on a node that started with no log.
+	deferSelfVote bool
+	staleView     wire.View
+
 	lastDelivered  wire.InstanceID // all instances below have been emitted
 	leaderUpTo     wire.InstanceID // highest decision watermark seen from a leader
 	electionFloor  wire.InstanceID // first fresh instance of this leadership (read barrier)
@@ -243,6 +263,16 @@ type Options struct {
 	// node boots in (recovered from WAL/snapshot or the seed config).
 	// Quorum size and the view→leader map then read it instead of N.
 	Topology *wire.Topology
+	// DeferSelfVote is for a caller that journals the log and releases votes
+	// only once they are durable (group commit). The leader then does not
+	// count its own Phase 2b vote when it proposes: the vote comes out as an
+	// Accept addressed to the node's own ID, and the caller feeds it back
+	// through HandleMessage when the instance's accept record is on disk —
+	// like every other acceptor's vote, and under the same view, leadership
+	// and open-instance checks. Any majority of durable acceptors decides; a
+	// Propose never waits for the leader's disk. Unset, the self-vote is
+	// counted inside the proposing call.
+	DeferSelfVote bool
 }
 
 // NewNode returns a Node in view 0 with an empty log. No messages are sent
@@ -270,9 +300,9 @@ func NewNode(opts Options) *Node {
 	if opts.Group < 0 || opts.Group >= opts.Groups {
 		panic(fmt.Sprintf("paxos: Group %d out of range [0,%d)", opts.Group, opts.Groups))
 	}
-	log := opts.Log
+	log, staleView := opts.Log, opts.View
 	if log == nil {
-		log = storage.NewLog()
+		log, staleView = storage.NewLog(), storage.NoView
 	}
 	if opts.CatchUpMaxEntries <= 0 {
 		opts.CatchUpMaxEntries = DefaultCatchUpMaxEntries
@@ -294,6 +324,9 @@ func NewNode(opts Options) *Node {
 		log:    log,
 		view:   opts.View,
 		open:   make(map[wire.InstanceID]*openInstance),
+
+		deferSelfVote: opts.DeferSelfVote,
+		staleView:     staleView,
 		// Delivery resumes at the recovered log's base: the decided prefix
 		// between base and the watermark is re-emitted by Start so the
 		// service can be rebuilt from the last durable snapshot.
@@ -338,13 +371,42 @@ func (nd *Node) leaderOf(v wire.View) int {
 func (nd *Node) Topology() *wire.Topology { return nd.topo }
 
 // SetTopology installs a new epoch-stamped topology, replacing the quorum
-// size and view→leader map. Owner-thread only. The caller is responsible
-// for advancing the view to the topology's BaseView afterwards (AdvanceTo),
-// which re-runs Phase 1 over the unstable suffix under the new shape — the
-// stop-the-group handoff.
-func (nd *Node) SetTopology(t *wire.Topology) {
+// size and view→leader map, and performs the stop-the-group handoff: the
+// node advances to the topology's BaseView, where Phase 1 runs again over
+// the unstable suffix under the new shape. Owner-thread only; the caller
+// must apply the returned Effects.
+//
+// BaseView is chosen above every view the proposer saw the old shape use,
+// but the old shape may have moved past it before the command took effect —
+// a view change raced it, or a restarted leader took its fresh ballot first
+// (see Start). A view this node leads or campaigns in under the old shape
+// must not simply be reread under the new map: it moves to the next view it
+// leads under the new one and runs Phase 1 there. A follower of such a view
+// stays put and follows whoever campaigns next.
+func (nd *Node) SetTopology(t *wire.Topology) Effects {
+	active := nd.leading || nd.preparing
 	nd.topo = t
 	nd.n = t.N()
+	var e Effects
+	v := t.BaseView
+	if nd.view >= v {
+		if !active {
+			return e
+		}
+		v = nd.nextLedView()
+	}
+	nd.advanceView(v, &e)
+	return e
+}
+
+// nextLedView returns the lowest view above the current one that this
+// replica leads (every active replica leads one view in n).
+func (nd *Node) nextLedView() wire.View {
+	v := nd.view + 1
+	for nd.leaderOf(v) != nd.id {
+		v++
+	}
+	return v
 }
 
 // IsLeader reports whether this replica is the established leader (Phase 1
@@ -377,6 +439,18 @@ func (nd *Node) DecidedUpTo() wire.InstanceID { return nd.log.FirstUndecided() }
 // instances.
 func (nd *Node) InFlight() int { return len(nd.open) }
 
+// SelfVotesPending returns the number of open instances still waiting for
+// this leader's own deferred vote (always 0 without DeferSelfVote).
+func (nd *Node) SelfVotesPending() int {
+	n := 0
+	for _, inst := range nd.open {
+		if !inst.acks[nd.id] {
+			n++
+		}
+	}
+	return n
+}
+
 // WindowOpen reports whether the leader may start another instance
 // (pipelining limit WND, Sec. VI-D2).
 func (nd *Node) WindowOpen() bool { return nd.leading && len(nd.open) < nd.window }
@@ -392,10 +466,22 @@ func (nd *Node) majority() int {
 // Start bootstraps the protocol: the decided prefix of a recovered log is
 // re-emitted (so the caller can rebuild service state), and the leader of
 // the current view — view 0 on a fresh start, the recovered promise after a
-// restart — establishes itself. Other replicas do nothing until traffic or
-// suspicion arrives. Re-running Phase 1 for a view this replica already led
-// is safe: any value a peer could have observed was durably accepted by the
-// Phase 2 quorum, so the merge re-proposes it unchanged.
+// restart — starts Phase 1. Other replicas do nothing until traffic or
+// suspicion arrives.
+//
+// Fresh-ballot rule: a node started from a recovered log never leads the
+// view it recovered. A Propose leaves the leader before its own accept is
+// durable, so a leader killed in between restarts in the same view without
+// the value a follower may already hold; leading that view again it could
+// propose a different value under the same ballot, and the follower, having
+// missed the new Propose, would decide its stale one from the watermark
+// (observeWatermark trusts AcceptedView == view). So Phase 1 in the
+// recovered view is only a probe: a majority answering it proves no
+// majority has moved on to a live leader, and maybeFinishPrepare then moves
+// to the next view this replica leads and runs Phase 1 again under a ballot
+// nothing was ever proposed in. If the cluster did move on, the probe is
+// ignored as stale and the first message from the real leader demotes this
+// node, exactly as before.
 func (nd *Node) Start() Effects {
 	var e Effects
 	nd.emitDecisions(&e)
@@ -468,23 +554,19 @@ func (nd *Node) becomeCandidate(v wire.View, e *Effects) {
 	first := nd.log.FirstUndecided()
 	// Merge our own acceptor state first.
 	nd.mergePrepareEntries(nd.log.SuffixFrom(first), e)
+	// The Prepare is a vote: prepareOKs already counts this node's promise.
 	msg := &wire.Prepare{View: v, FirstUnstable: first}
-	key := RetransKey{Kind: RetransPrepare, View: v}
-	nd.sendToPeers(e, msg, &key)
+	nd.sendToPeers(e, msg, RetransKey{Kind: RetransPrepare, View: v}, true)
 	nd.maybeFinishPrepare(e)
 }
 
-// sendToPeers broadcasts msg to all other replicas (with optional
-// retransmission). With n == 1 there are no peers and nothing is sent.
-func (nd *Node) sendToPeers(e *Effects, msg wire.Message, key *RetransKey) {
+// sendToPeers broadcasts msg to all other replicas, retransmitted under key.
+// With n == 1 there are no peers and nothing is sent.
+func (nd *Node) sendToPeers(e *Effects, msg wire.Message, key RetransKey, vote bool) {
 	if nd.n == 1 {
 		return
 	}
-	if key != nil {
-		e.sendReliable(Broadcast, msg, *key)
-	} else {
-		e.send(Broadcast, msg)
-	}
+	e.Sends = append(e.Sends, SendEffect{To: Broadcast, Msg: msg, Retrans: &key, Vote: vote})
 }
 
 // HandleMessage dispatches a peer message to its handler.
@@ -530,7 +612,7 @@ func (nd *Node) handlePrepare(from int, m *wire.Prepare, e *Effects) {
 	nd.adoptView(m.View, e)
 	// m.View == nd.view now (adoptView is a no-op for equal views).
 	ok := &wire.PrepareOK{View: m.View, Entries: nd.log.SuffixFrom(m.FirstUnstable)}
-	e.send(from, ok)
+	e.vote(from, ok)
 }
 
 // handlePrepareOK collects Phase 1b responses and completes leadership on
@@ -571,6 +653,12 @@ func (nd *Node) mergePrepareEntries(entries []wire.InstanceState, e *Effects) {
 // re-proposing merged values and filling gaps with no-ops.
 func (nd *Node) maybeFinishPrepare(e *Effects) {
 	if !nd.preparing || len(nd.prepareOKs) < nd.majority() {
+		return
+	}
+	if nd.view == nd.staleView {
+		// The probe of a recovered view succeeded; take the fresh ballot
+		// (see Start). advanceView re-enters here for a single replica.
+		nd.advanceView(nd.nextLedView(), e)
 		return
 	}
 	nd.preparing = false
@@ -621,14 +709,21 @@ func (nd *Node) ProposeBatch(value []byte) (Effects, bool) {
 	return e, true
 }
 
-// proposeInstance runs Phase 2a for (id, value) in the current view.
+// proposeInstance runs Phase 2a for (id, value) in the current view. The
+// leader accepts its own proposal; the vote that acceptance casts is counted
+// here, or — deferred — travels to the caller as an Accept addressed to this
+// node and is counted by handleAccept when it comes back durable.
 func (nd *Node) proposeInstance(id wire.InstanceID, value []byte, e *Effects) {
-	nd.log.Accept(id, nd.view, value) // leader accepts its own proposal
-	inst := &openInstance{value: value, acks: map[int]bool{nd.id: true}}
+	nd.log.Accept(id, nd.view, value)
+	inst := &openInstance{value: value, acks: make(map[int]bool)}
 	nd.open[id] = inst
 	msg := &wire.Propose{View: nd.view, ID: id, DecidedUpTo: nd.log.FirstUndecided(), Value: value}
-	key := RetransKey{Kind: RetransPropose, View: nd.view, ID: id}
-	nd.sendToPeers(e, msg, &key)
+	nd.sendToPeers(e, msg, RetransKey{Kind: RetransPropose, View: nd.view, ID: id}, false)
+	if nd.deferSelfVote {
+		e.vote(nd.id, &wire.Accept{View: nd.view, ID: id})
+		return
+	}
+	inst.acks[nd.id] = true
 	nd.maybeDecide(id, inst, e)
 }
 
@@ -645,12 +740,14 @@ func (nd *Node) handlePropose(from int, m *wire.Propose, e *Effects) {
 	nd.adoptView(m.View, e)
 	if m.ID >= nd.log.Base() {
 		nd.log.Accept(m.ID, m.View, m.Value)
-		e.send(from, &wire.Accept{View: m.View, ID: m.ID})
+		e.vote(from, &wire.Accept{View: m.View, ID: m.ID})
 	}
 	nd.observeWatermark(m.View, m.DecidedUpTo, e)
 }
 
-// handleAccept counts Phase 2b acknowledgements at the leader.
+// handleAccept counts Phase 2b acknowledgements at the leader — a peer's, or
+// its own deferred vote handed back by the caller. A vote from an abandoned
+// view, or for a slot since decided or covered by FastForward, is dropped.
 func (nd *Node) handleAccept(from int, m *wire.Accept, e *Effects) {
 	if m.View != nd.view || !nd.leading {
 		return

@@ -738,6 +738,11 @@ type harness struct {
 	delivered [][]Decision
 	// agreed maps instance -> first value seen decided, for agreement checks.
 	agreed map[wire.InstanceID][]byte
+	// journals and parked are set by newDurableHarness (durable_test.go):
+	// node i's log journals to journals[i], and its votes wait in parked[i]
+	// until a sync covers them. Nil for the in-memory harness.
+	journals []*testJournal
+	parked   [][]parkedVote
 }
 
 func newHarness(t *testing.T, n int, seed int64) *harness {
@@ -760,31 +765,44 @@ func newHarness(t *testing.T, n int, seed int64) *harness {
 	return h
 }
 
+// post puts one send on the wire, registering its retransmission.
+func (h *harness) post(node int, s SendEffect) {
+	var dests []int
+	if s.To == Broadcast {
+		for d := range h.n {
+			if d != node {
+				dests = append(dests, d)
+			}
+		}
+	} else {
+		dests = []int{s.To}
+	}
+	var envs []envelope
+	for _, d := range dests {
+		env := envelope{from: node, to: d, msg: s.Msg}
+		envs = append(envs, env)
+		h.inflight = append(h.inflight, env)
+	}
+	if s.Retrans != nil {
+		h.retrans[node][*s.Retrans] = envs
+	}
+}
+
 // apply folds a node's effects into the harness state.
 func (h *harness) apply(node int, e Effects) {
 	for _, k := range e.CancelRetrans {
 		delete(h.retrans[node], k)
+		h.unpark(node, k)
+	}
+	if e.ViewChanged && h.journals != nil {
+		h.journals[node].journalView(h.nodes[node].View())
 	}
 	for _, s := range e.Sends {
-		var dests []int
-		if s.To == Broadcast {
-			for d := range h.n {
-				if d != node {
-					dests = append(dests, d)
-				}
-			}
-		} else {
-			dests = []int{s.To}
+		if s.Vote && h.journals != nil {
+			h.park(node, s)
+			continue
 		}
-		var envs []envelope
-		for _, d := range dests {
-			env := envelope{from: node, to: d, msg: s.Msg}
-			envs = append(envs, env)
-			h.inflight = append(h.inflight, env)
-		}
-		if s.Retrans != nil {
-			h.retrans[node][*s.Retrans] = envs
-		}
+		h.post(node, s)
 	}
 	if e.CatchUp != nil {
 		h.catchGen[node] = e.CatchUpGen
@@ -817,8 +835,19 @@ func (h *harness) deliver(env envelope) {
 	h.apply(env.to, e)
 }
 
-// step processes one random event. chaos enables drops/dups/suspicions.
+// step processes one random event. chaos enables drops/dups/suspicions
+// (and, on a durable harness, syncs and crashes).
 func (h *harness) step(chaos bool) {
+	if chaos && h.journals != nil {
+		switch r := h.rng.Float64(); {
+		case r < 0.25:
+			h.sync(h.rng.Intn(h.n))
+			return
+		case r < 0.256:
+			h.crash(h.rng.Intn(h.n))
+			return
+		}
+	}
 	r := h.rng.Float64()
 	switch {
 	case chaos && r < 0.02:
@@ -867,7 +896,7 @@ func (h *harness) proposeAtLeader(value []byte) bool {
 // retransmissions and heartbeats so every node converges.
 func (h *harness) drain() {
 	for round := 0; round < 60; round++ {
-		for len(h.inflight) > 0 {
+		for h.syncAll(); len(h.inflight) > 0; h.syncAll() {
 			h.step(false)
 		}
 		// Fire retransmissions.
@@ -896,7 +925,10 @@ func (h *harness) drain() {
 }
 
 func runRandomizedSchedule(t *testing.T, n int, seed int64, steps int) {
-	h := newHarness(t, n, seed)
+	runSchedule(t, newHarness(t, n, seed), seed, steps)
+}
+
+func runSchedule(t *testing.T, h *harness, seed int64, steps int) {
 	proposed := 0
 	for s := range steps {
 		if s%7 == 0 && proposed < 40 {

@@ -27,6 +27,7 @@ import (
 
 	"gosmr"
 	"gosmr/internal/service"
+	"gosmr/internal/transport"
 )
 
 // freePorts reserves n distinct TCP ports and releases them for the
@@ -378,4 +379,162 @@ func TestKillInsideSnapshotInstallRestartRecovers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKillAtProposeSentRestartRecovers kill -9s the LEADER at the
+// "propose-sent" crash point: a Propose is on its SendQueue and the accept
+// record behind it is still in the WAL's buffer, which no fsync will ever
+// cover. Under group commit that window is open on every proposal — the
+// leader's own vote is what waits for its disk, not the Propose — so the
+// restart must cope with followers that durably hold a value the leader's
+// log has lost: the ex-leader comes back in its recovered view but never
+// leads it again, the cluster converges on byte-identical state with every
+// acknowledged write present, and the ex-leader ends in a view above the one
+// it crashed in.
+func TestKillAtProposeSentRestartRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and drives real replica subprocesses; skipped in -short")
+	}
+	const groups = 2
+	bin := buildReplicaBin(t)
+	addrs := freePorts(t, 6)
+	clientAddrs := addrs[3:6]
+	procs := make([]*replicaProc, 3)
+	dirs := make([]string, 3)
+	for i := range 3 {
+		logf, err := os.Create(filepath.Join(t.TempDir(), fmt.Sprintf("r%d.log", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { logf.Close() })
+		dirs[i] = t.TempDir()
+		procs[i] = &replicaProc{
+			t: t, bin: bin, log: logf,
+			args: []string{
+				"-id", fmt.Sprint(i),
+				"-peers", strings.Join(addrs[:3], ","),
+				"-client", clientAddrs[i],
+				"-data-dir", dirs[i],
+				"-sync", "batch",
+				"-snapshot-every", "40",
+				"-groups", fmt.Sprint(groups),
+				"-stats", "50ms",
+			},
+		}
+		procs[i].start()
+	}
+	t.Cleanup(func() {
+		for _, p := range procs {
+			if p.cmd != nil {
+				_ = p.cmd.Process.Kill()
+				_ = p.cmd.Wait()
+			}
+		}
+	})
+	// lastView returns the view of the newest stats line replica i printed
+	// after its log was `since` bytes long — of those naming `leader` as the
+	// leader, unless leader < 0 — or -1 if there is none.
+	lastView := func(i int, since int64, leader int) int {
+		out, err := os.ReadFile(procs[i].log.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := -1
+		for _, line := range strings.Split(string(out[since:]), "\n") {
+			if _, rest, ok := strings.Cut(line, " leader="); ok {
+				var l, v int
+				if n, _ := fmt.Sscanf(rest, "%d view=%d", &l, &v); n == 2 && (leader < 0 || l == leader) {
+					view = v
+				}
+			}
+		}
+		return view
+	}
+	logSize := func(i int) int64 {
+		st, err := os.Stat(procs[i].log.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+
+	cli, err := gosmr.Dial(gosmr.ClientConfig{Addrs: clientAddrs, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	acked := 0
+	put := func(n int) {
+		t.Helper()
+		putKeys(t, cli, "ps", acked, n)
+		acked += n
+	}
+	put(30)
+
+	// Reboot the whole cluster with the crash point armed on replica 0. It
+	// recovered the view it led, so it takes a fresh ballot, leads again,
+	// and dies on the first Propose it sends: the next write.
+	for _, p := range procs {
+		p.kill9()
+	}
+	procs[0].env = []string{"GOSMR_CRASHPOINT=propose-sent"}
+	marks := []int64{logSize(0), logSize(1), logSize(2)}
+	for _, p := range procs {
+		p.start()
+	}
+	put(1) // acknowledged by whoever leads once replica 0 has died
+	if code := procs[0].waitExit(30 * time.Second); code != 137 {
+		if out, err := os.ReadFile(procs[0].log.Name()); err == nil {
+			t.Logf("victim log:\n%s", out)
+		}
+		t.Fatalf("replica 0 exited with %d, want 137 (never sent a Propose?)", code)
+	}
+	// The view it died in is the one its followers last followed it in (one
+	// of them promised before it could lead, and prints stats every 50 ms).
+	crashView := max(lastView(1, marks[1], 0), lastView(2, marks[2], 0))
+	if crashView < 0 {
+		t.Fatal("no follower ever reported replica 0 leading after the reboot")
+	}
+	put(14)
+
+	// Restart the ex-leader, disarmed; it must end above the view it died in.
+	procs[0].env = nil
+	mark := logSize(0)
+	procs[0].start()
+	put(5)
+	deadline := time.Now().Add(20 * time.Second)
+	for lastView(0, mark, -1) <= crashView {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted ex-leader is in view %d, want > %d (the view it crashed in)", lastView(0, mark, -1), crashView)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	cli.Close()
+
+	// Byte-identical state: stop the processes and boot the three DataDirs
+	// in this process, where the KV stores and reply caches can be compared.
+	for _, p := range procs {
+		p.kill9()
+	}
+	net := transport.NewInproc(0)
+	reps := make([]*gosmr.Replica, 3)
+	stores := make([]*service.KV, 3)
+	for i := range 3 {
+		stores[i] = service.NewKV()
+		rep, err := gosmr.NewReplica(gosmr.Config{
+			ID: i, Peers: []string{"kps-r0", "kps-r1", "kps-r2"}, ClientAddr: fmt.Sprintf("kps-c%d", i),
+			Network: net, DataDir: dirs[i], SyncPolicy: "batch",
+			Groups: groups, SnapshotEvery: 40,
+		}, stores[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Stop()
+		reps[i] = rep
+	}
+	waitKV(t, stores, acked, 30*time.Second)
+	waitReplyCaches(t, reps, 20*time.Second)
 }
