@@ -28,10 +28,10 @@ func main() {
 		id          = flag.Int("id", 0, "replica ID (index into -peers)")
 		peers       = flag.String("peers", "", "comma-separated replica addresses, indexed by ID")
 		clientAddr  = flag.String("client", "", "client-facing listen address")
-		workers     = flag.Int("clientio", 4, "ClientIO worker pool size")
+		workers     = flag.Int("clientio", 0, "ClientIO worker pool size (0 = library default)")
 		groups      = flag.Int("groups", 1, "parallel ordering (Paxos) groups; must match on every replica")
-		window      = flag.Int("window", 10, "pipelining window WND per ordering group")
-		batchBytes  = flag.Int("batch", 1300, "batch size budget BSZ in bytes")
+		window      = flag.Int("window", 0, "pipelining window WND per ordering group (0 = library default)")
+		batchBytes  = flag.Int("batch", 0, "batch size cap BSZ in bytes (0 = library default)")
 		snapEvery   = flag.Int("snapshot-every", 10000, "snapshot every N instances (0 = off)")
 		snapChunk   = flag.Int("snapshot-chunk-bytes", 0, "size cap for snapshot chunk files and transfer frames (0 = default; must match on every replica)")
 		execWorkers = flag.Int("executor-workers", 1, "parallel execution workers (KV declares per-key conflicts; 1 = sequential)")

@@ -161,10 +161,17 @@ type Config struct {
 	// Window is the pipelining limit WND: the maximum number of consensus
 	// instances in flight per ordering group (default 10).
 	Window int
-	// BatchBytes is the batching limit BSZ in encoded bytes (default 1300:
-	// one Ethernet frame's worth, the paper's baseline).
+	// BatchBytes is the cap BSZ, in encoded bytes, a batch may grow to while
+	// the window is full (default 64 KiB). It is not a fill target: a leader
+	// with a free window slot proposes whatever has arrived at once, so an
+	// idle cluster never waits for a batch to fill. (The paper's baseline,
+	// 1300 — one Ethernet frame — was a target and thereby the capacity of a
+	// round, WND × BSZ.)
 	BatchBytes int
-	// BatchDelay flushes an underfull batch after this delay (default 5ms).
+	// BatchDelay flushes a batch that has waited this long at a replica that
+	// cannot propose it (not leader yet; window and ProposalQueue full).
+	// Default 5ms; it no longer trades latency for batch size and needs no
+	// tuning.
 	BatchDelay time.Duration
 
 	// SnapshotEvery snapshots the service every that many decided

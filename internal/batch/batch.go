@@ -1,7 +1,10 @@
-// Package batch implements the batching policy of Sec. III-A/V-C1: client
-// requests are grouped into batches of at most MaxBytes (the paper's BSZ
-// parameter) or flushed after MaxDelay, whichever comes first. Batches are
-// the unit of ordering — one consensus instance carries one batch.
+// Package batch implements the batch builder of Sec. III-A/V-C1: client
+// requests are grouped into batches, the unit of ordering — one consensus
+// instance carries one batch. The Policy holds the two bounds a batch may
+// reach while nobody asks for it: MaxBytes (the paper's BSZ parameter) and
+// MaxDelay. When a batch is actually cut is the caller's decision (the
+// replica's Batcher cuts as soon as its leader can propose, see
+// core.runBatcher); the builder only reports when a bound is hit.
 package batch
 
 import (
@@ -10,18 +13,24 @@ import (
 	"gosmr/internal/wire"
 )
 
-// DefaultMaxBytes matches the paper's baseline batch size (BSZ = 1300 bytes:
-// one Ethernet frame of requests, Sec. VI).
-const DefaultMaxBytes = 1300
+// DefaultMaxBytes is the cap a batch may grow to while its leader's window is
+// full. The paper's baseline BSZ = 1300 bytes (one Ethernet frame, Sec. VI) is
+// a fill target — every batch waits to reach it — which also makes it the
+// capacity of a round (WND × BSZ); as a cap that is only reached under
+// backlog it can be generous.
+const DefaultMaxBytes = 64 << 10
 
-// DefaultMaxDelay bounds request latency under light load.
+// DefaultMaxDelay bounds how long requests wait at a replica that cannot
+// propose (not leader yet, window and ProposalQueue full).
 const DefaultMaxDelay = 5 * time.Millisecond
 
-// Policy configures the batcher.
+// Policy bounds a batch nobody has asked for yet.
 type Policy struct {
-	// MaxBytes is the batch size budget in encoded wire bytes (BSZ).
+	// MaxBytes caps the batch size in encoded wire bytes (BSZ): a batch at
+	// or over it is flushed even if the leader cannot propose it yet.
 	MaxBytes int
-	// MaxDelay flushes a non-empty batch that has waited this long.
+	// MaxDelay flushes a non-empty batch that has waited this long; it only
+	// runs out where the leader cannot propose.
 	MaxDelay time.Duration
 }
 
@@ -67,23 +76,14 @@ func (b *Builder) Len() int { return len(b.reqs) }
 // Bytes returns the encoded size of the current batch.
 func (b *Builder) Bytes() int { return b.bytes }
 
-// Fits reports whether req can join the current batch without exceeding
-// MaxBytes. A request larger than the whole budget always "fits" into an
-// empty batch so oversized requests are not starved.
-func (b *Builder) Fits(req *wire.ClientRequest) bool {
-	sz := wire.EncodedRequestSize(len(req.Payload))
-	if len(b.reqs) == 0 {
-		return true
-	}
-	return b.bytes+sz <= b.policy.MaxBytes
-}
-
-// Add appends req and reports whether the batch is now at or over budget
-// and should be flushed. The MaxDelay clock starts at the first appended
-// request of each batch — never at builder creation or at the previous
-// flush — so time the batcher spends idle waiting for traffic can not eat
-// into a later batch's flush delay (see the idle-then-burst regression
-// test).
+// Add appends req — always; nothing is refused — and reports whether the
+// batch is now at or over MaxBytes and must be flushed. A caller that flushes
+// when told so never builds a batch more than one request over the cap, and a
+// request larger than the cap travels alone or as the last of its batch. The
+// MaxDelay clock starts at the first appended request of each batch — never
+// at builder creation or at the previous flush — so time the batcher spends
+// idle waiting for traffic can not eat into a later batch's flush delay (see
+// the idle-then-burst regression test).
 func (b *Builder) Add(req *wire.ClientRequest) (full bool) {
 	if len(b.reqs) == 0 {
 		b.since = time.Now()
@@ -102,11 +102,6 @@ func (b *Builder) Deadline() time.Time {
 		return time.Now().Add(365 * 24 * time.Hour)
 	}
 	return b.since.Add(b.policy.MaxDelay)
-}
-
-// Expired reports whether a non-empty batch has passed its deadline.
-func (b *Builder) Expired(now time.Time) bool {
-	return len(b.reqs) > 0 && !now.Before(b.Deadline())
 }
 
 // Flush encodes and returns the batch, resetting the builder (including the

@@ -46,17 +46,27 @@ func TestAddUntilFull(t *testing.T) {
 	}
 }
 
-func TestOversizedRequestFitsEmptyBatch(t *testing.T) {
+func TestAddContractAtTheCap(t *testing.T) {
+	// Add never refuses: an oversized request joins an empty batch, marks it
+	// full, and travels alone.
 	b := NewBuilder(Policy{MaxBytes: 100})
-	big := req(500)
-	if !b.Fits(big) {
-		t.Error("oversized request does not fit empty batch")
-	}
-	if full := b.Add(big); !full {
+	if full := b.Add(req(500)); !full {
 		t.Error("oversized request did not mark batch full")
 	}
-	if b.Fits(req(1)) {
-		t.Error("request fits a full batch")
+	if reqs, err := wire.DecodeBatch(b.Flush()); err != nil || len(reqs) != 1 {
+		t.Errorf("oversized batch decodes to %d requests, err %v", len(reqs), err)
+	}
+	// A caller that flushes when Add says so is over the cap by at most the
+	// request that crossed it.
+	for range 10 {
+		last := 0
+		for !b.Add(req(30)) {
+			last = b.Bytes()
+		}
+		if last >= 100 || b.Bytes() < 100 {
+			t.Fatalf("full reported at %d bytes, previous Add left %d (cap 100)", b.Bytes(), last)
+		}
+		b.Flush()
 	}
 }
 
@@ -64,24 +74,6 @@ func TestFlushEmptyReturnsNil(t *testing.T) {
 	b := NewBuilder(Policy{})
 	if got := b.Flush(); got != nil {
 		t.Errorf("Flush on empty = %v, want nil", got)
-	}
-}
-
-func TestDeadlineAndExpired(t *testing.T) {
-	b := NewBuilder(Policy{MaxDelay: 10 * time.Millisecond})
-	now := time.Now()
-	if b.Expired(now.Add(time.Hour)) {
-		t.Error("empty batch reported expired")
-	}
-	b.Add(req(8))
-	if b.Expired(time.Now()) {
-		t.Error("fresh batch reported expired")
-	}
-	if b.Expired(b.Deadline().Add(-time.Nanosecond)) {
-		t.Error("batch expired before deadline")
-	}
-	if !b.Expired(b.Deadline()) {
-		t.Error("batch not expired at deadline")
 	}
 }
 
@@ -120,9 +112,6 @@ func TestIdleThenBurstStartsDelayClockAtFirstAdd(t *testing.T) {
 	if dl := b.Deadline(); dl.Before(before.Add(delay)) {
 		t.Errorf("deadline %v is before firstAdd+MaxDelay %v (clock started too early, creation was %v)",
 			dl, before.Add(delay), created)
-	}
-	if b.Expired(time.Now()) {
-		t.Error("burst batch already expired: idle time was charged to it")
 	}
 
 	// After a flush the clock resets again: another idle stretch, another

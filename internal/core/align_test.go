@@ -66,7 +66,17 @@ type alignCluster struct {
 func startAlignCluster(t *testing.T, name string, delay time.Duration,
 	mkSvc func(i int) Service, cfg func(i int, c *Config)) *alignCluster {
 	t.Helper()
-	c := &alignCluster{net: transport.NewInproc(0)}
+	c := bootAlignCluster(t, transport.NewInproc(0), name, delay, mkSvc, cfg)
+	waitAllGroupLeaders(t, c.reps[0])
+	return c
+}
+
+// bootAlignCluster starts the replicas on net and returns without waiting for
+// a leader — for tests that hold Phase 1 back with a fault installed on net.
+func bootAlignCluster(t *testing.T, net *transport.Inproc, name string, delay time.Duration,
+	mkSvc func(i int) Service, cfg func(i int, c *Config)) *alignCluster {
+	t.Helper()
+	c := &alignCluster{net: net}
 	c.net.SetDelay(delay)
 	peers := []string{name + "-0", name + "-1", name + "-2"}
 	for i := range peers {
@@ -84,7 +94,6 @@ func startAlignCluster(t *testing.T, name string, delay time.Duration,
 		c.reps = append(c.reps, r)
 		c.svcs = append(c.svcs, svc)
 	}
-	waitAllGroupLeaders(t, c.reps[0])
 	return c
 }
 

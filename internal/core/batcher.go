@@ -9,11 +9,15 @@ import (
 )
 
 // runBatcher is one ordering group's Batcher thread (Sec. V-C1): it drains
-// the group's RequestQueue, forms batches under the batching policy, and
-// feeds the group's ProposalQueue. Building batches here — concurrently with
-// the ordering protocol — takes that work off the Protocol thread's critical
-// path; when the Protocol thread wants to start a ballot it simply takes a
-// ready batch.
+// the group's RequestQueue, forms batches, and feeds the group's
+// ProposalQueue. Building batches here — concurrently with the ordering
+// protocol — takes that work off the Protocol thread's critical path.
+//
+// The Protocol thread clocks the hand-off (the pull rule, see canPropose): a
+// batch is cut the moment its leader could propose it and carries whatever
+// has arrived by then; while the window is full it keeps growing, up to
+// Batch.MaxBytes, until a slot frees. Batch.MaxDelay bounds only a batch whose
+// leader cannot propose.
 //
 // Blocking on a full ProposalQueue is the second stage of the flow-control
 // chain (Sec. V-E): a stalled Protocol thread stops the Batcher, which stops
@@ -42,24 +46,22 @@ func (r *Replica) runBatcher(g *ordGroup) {
 		}
 		g.openBatch.Store(batchOpen)
 		full := b.Add(req)
-		// Keep filling until the size budget or the batch delay runs out, or
-		// the Protocol thread asks for the batch now: it has a slot to fill
-		// that the merge is waiting on (alignGroup), and what is already
-		// here should ride in it rather than wait out the delay behind a
-		// no-op.
-		for !full && g.openBatch.Load() != batchCutAsked {
-			remaining := time.Until(b.Deadline())
-			if remaining <= 0 {
-				break
-			}
-			next, ok, err := g.requestQ.Poll(th, remaining)
-			if err != nil {
-				break // shutting down: flush what we have
+		// Pulled — the Protocol thread can propose (standing hint), or asked
+		// for this batch (a window slot freed, or alignGroup has a merge row
+		// to fill): take what is already queued, without blocking, and
+		// flush. Otherwise keep filling until the cap or the delay runs out.
+		for !full {
+			var next *wire.ClientRequest
+			ok := false
+			if g.canPropose.Load() || g.openBatch.Load() == batchCutAsked {
+				next, ok = g.requestQ.TryTake()
+			} else if remaining := time.Until(b.Deadline()); remaining > 0 {
+				next, ok, _ = g.requestQ.Poll(th, remaining) // closed reads as !ok
 			}
 			if !ok {
-				break // deadline expired
+				break // drained, expired or shutting down: flush what we have
 			}
-			if next != nil { // nil: cutOpenBatch's wake-up, the flag says why
+			if next != nil { // nil: cutOpenBatch's wake-up, the flags say why
 				full = b.Add(next)
 			}
 		}
@@ -72,6 +74,9 @@ func (r *Replica) runBatcher(g *ordGroup) {
 			return
 		}
 		g.openBatch.Store(batchIdle)
+		// The ProposalQueue is not empty now, so the hint is spent; the nudge
+		// below makes the Protocol thread take the batch and republish it.
+		g.canPropose.Store(false)
 		// Nudge the Protocol thread; if the DispatcherQueue is busy it will
 		// drain the ProposalQueue on its next event anyway.
 		_, _ = g.dispatchQ.TryPut(event{kind: evProposalReady})

@@ -103,7 +103,9 @@ type Config struct {
 	// Window is the pipelining limit WND (max concurrent instances) — per
 	// ordering group. Default 10, the paper's baseline.
 	Window int
-	// Batch is the batching policy (BSZ and flush delay).
+	// Batch bounds a batch nobody has pulled yet: the cap BSZ it may grow to
+	// behind a full window, and the delay that flushes it where the leader
+	// cannot propose (see runBatcher).
 	Batch batch.Policy
 
 	// Queue capacities (defaults follow the paper's setup where reported:

@@ -112,8 +112,7 @@ func TestOnlyVotesWaitForTheDisk(t *testing.T) {
 			}
 			for i := range 3 {
 				// Every earlier write is acknowledged, so the leader's watermark
-				// covers all of them; followers hear of the last with this
-				// write's Propose.
+				// covers all of them and its drain beat has told the followers.
 				before := c.reps[0].DecidedUpTo()
 				seq++
 				t0 := time.Now()

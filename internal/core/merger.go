@@ -35,7 +35,7 @@ import (
 // frontier alone and no lag of one, every real batch anywhere would force
 // G-1 fills and rows/s would be the sum of all groups' rates. A missing slot
 // takes a ready batch, else the Batcher's open batch cut early (the slot must
-// be spent anyway, so it carries whatever is already waiting out BatchDelay),
+// be spent anyway, so it carries whatever is already waiting in the Batcher),
 // else an empty batch — the Mencius-style "skip", decided through consensus
 // like any batch and therefore unstalling every replica's merge identically.
 //

@@ -201,8 +201,8 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 		// while event processing continues, so the stalled sibling still
 		// recovers and reopens the gate.
 		backlogCap := int64(4*r.cfg.Window + 256)
-		for node.WindowOpen() &&
-			int64(node.DecidedUpTo())-g.mergedUpTo.Load() < backlogCap {
+		backlog := func() int64 { return int64(node.DecidedUpTo()) - g.mergedUpTo.Load() }
+		for node.WindowOpen() && backlog() < backlogCap {
 			value, ok := g.proposalQ.TryTake()
 			if !ok {
 				break
@@ -214,22 +214,39 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 			apply(e)
 		}
 		r.alignGroup(g, node, apply)
+		// The pull rule: publish whether a batch handed over now would be
+		// proposed at once, and if so ask for the open one. The Batcher cuts
+		// on the hint instead of waiting out its delay beside an idle
+		// pipeline; with the window full it keeps filling until this asks.
+		pull := canPropose(node.IsLeader(), node.WindowOpen(), backlog(), backlogCap, g.proposalQ.Len())
+		g.canPropose.Store(pull)
+		if pull {
+			r.cutOpenBatch(g)
+		}
 		if g.gated {
 			r.releaseDurable(th, g, node, ps)
 			g.gateLen.Store(int32(len(ps.gate) - ps.gateHead))
 			g.selfVoteLag.Store(int32(node.SelfVotesPending()))
 		}
-		// Followers learn a decision from the next Propose or heartbeat, and
-		// the shared failure detector beats only for group 0's leader. A group
-		// led apart from it (views drifted) therefore tells its followers
-		// itself when its pipeline drains; otherwise its last decision would
-		// hold every other replica's merge until traffic resumed.
-		if d := node.DecidedUpTo(); d > ps.toldUpTo && node.InFlight() == 0 &&
-			node.IsLeader() && !r.groups[0].isLeader.Load() {
+		// Followers learn a decision from the next Propose or heartbeat. When
+		// the pipeline drains there is no next Propose, so the leader says so
+		// itself: one beat carrying the watermark, one hop after the last
+		// decision exists — what a follower's merge (a group led apart from
+		// group 0 gets no detector heartbeat at all) and its read-index reads
+		// (parked until execution covers the leader's frontier) wait for.
+		if d := node.DecidedUpTo(); d > ps.toldUpTo && node.InFlight() == 0 && node.IsLeader() {
 			ps.toldUpTo = d
 			r.broadcast(wrapGroup(g.idx, &wire.Heartbeat{View: node.View(), DecidedUpTo: d}))
 		}
 	}
+}
+
+// canPropose is the pull rule, the Protocol → Batcher counterpart of
+// slotsToFill: a batch handed over now is proposed at once iff this replica
+// leads, the window has a free slot, the merge-backlog gate is open and no
+// earlier batch is queued ahead of it.
+func canPropose(leader, windowOpen bool, backlog, backlogCap int64, queued int) bool {
+	return leader && windowOpen && backlog < backlogCap && queued == 0
 }
 
 // applyEffects executes one Effects value from a group's protocol state

@@ -40,7 +40,7 @@ type readEvent struct {
 	kind  uint8
 	req   *wire.ClientRead // rSubmit
 	cc    *clientConn      // rSubmit
-	seq   uint64           // rResp, rTimer: read-index round
+	seq   uint64           // rResp: read-index round
 	index wire.InstanceID  // rResp
 	ok    bool             // rResp
 }
@@ -61,14 +61,27 @@ type readMgr struct {
 	pending  []readReq            // follower reads awaiting the next index query
 	inflight map[uint64][]readReq // rounds awaiting a ReadIndexResp
 	querySeq uint64
+	// At most one round is outstanding, so one timer expires them all: armed
+	// at launched by launchQuery, stopped by handleResp.
+	expiry   *time.Timer
+	launched time.Time
 }
 
 func newReadMgr(r *Replica) *readMgr {
-	return &readMgr{
+	m := &readMgr{
 		r:        r,
 		q:        queue.NewBounded[readEvent]("ReadQueue", r.cfg.RequestQueueCap),
 		inflight: make(map[uint64][]readReq),
 	}
+	// Posts rTimer; re-arms itself while the nudge races a full queue, so a
+	// round can never wedge the single-outstanding-query slot.
+	m.expiry = time.AfterFunc(time.Hour, func() {
+		if ok, err := m.q.TryPut(readEvent{kind: rTimer}); !ok && err == nil {
+			m.expiry.Reset(r.cfg.RetransPeriod)
+		}
+	})
+	m.expiry.Stop()
+	return m
 }
 
 // deliverResp hands a ReadIndexResp from a ReplicaIO reader to the manager.
@@ -80,6 +93,7 @@ func (m *readMgr) deliverResp(seq uint64, index wire.InstanceID, ok bool) {
 // run is the ReadManager thread body.
 func (m *readMgr) run() {
 	defer m.r.wg.Done()
+	defer m.expiry.Stop()
 	th := m.r.profThread("ReadManager")
 	th.Transition(profiling.StateBusy)
 	defer th.Transition(profiling.StateOther)
@@ -94,9 +108,13 @@ func (m *readMgr) run() {
 		case rResp:
 			m.handleResp(ev.seq, ev.index, ev.ok)
 		case rTimer:
-			if rr, ok := m.inflight[ev.seq]; ok {
-				delete(m.inflight, ev.seq)
-				m.fail(rr)
+			// A fire that lost the race with its round's response finds no
+			// round, or the next one still young (and its own timer armed).
+			if time.Since(m.launched) >= m.r.cfg.RetransPeriod {
+				for seq, rr := range m.inflight {
+					delete(m.inflight, seq)
+					m.fail(rr)
+				}
 			}
 			m.launchQuery()
 		}
@@ -151,17 +169,9 @@ func (m *readMgr) launchQuery() {
 	m.inflight[seq] = m.pending
 	m.pending = nil
 	r.enqueueSend(leader, &wire.ReadIndexQuery{Seq: seq})
-	// Expire the round if the leaseholder never answers; the retry keeps
-	// re-arming if the nudge races a full queue, so a round can never wedge
-	// the single-outstanding-query slot.
-	timeout := r.cfg.RetransPeriod
-	var expire func()
-	expire = func() {
-		if ok, err := m.q.TryPut(readEvent{kind: rTimer, seq: seq}); !ok && err == nil {
-			time.AfterFunc(timeout, expire)
-		}
-	}
-	time.AfterFunc(timeout, expire)
+	// Expire the round if the leaseholder never answers.
+	m.launched = time.Now()
+	m.expiry.Reset(r.cfg.RetransPeriod)
 }
 
 // handleResp completes one read-index round: wait for local execution to
@@ -172,6 +182,7 @@ func (m *readMgr) handleResp(seq uint64, index wire.InstanceID, ok bool) {
 		return // stale response for a round that already timed out
 	}
 	delete(m.inflight, seq)
+	m.expiry.Stop()
 	if !ok {
 		m.fail(rr)
 	} else {

@@ -57,6 +57,7 @@ type ordGroup struct {
 	mergedUpTo  atomic.Int64 // slots of this group the merge stage has consumed
 	mergeWant   atomic.Int64 // slots the Merger needs this group to have opened
 	openBatch   atomic.Int32 // Batcher → Protocol: batchIdle/batchOpen/batchCutAsked
+	canPropose  atomic.Bool  // Protocol → Batcher: a batch flushed now is proposed at once
 	readBarrier atomic.Int64 // first fresh instance of this leadership (lease reads)
 }
 
