@@ -1,15 +1,16 @@
 // Command gosmr-bench regenerates every figure and table of the paper's
 // evaluation (Sec. VI) on the deterministic simulator and prints them in
-// paper order. See DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured numbers.
+// paper order. README.md ("Experiments and benchmarks") lists the
+// experiments.
 //
 // Usage:
 //
 //	gosmr-bench                      # run everything at full fidelity
 //	gosmr-bench -experiment fig10    # one experiment
 //	gosmr-bench -measure 1s          # longer measurement windows
-//	gosmr-bench -json BENCH_PR7.json # machine-readable perf snapshot
-//	                                 # (pipeline throughput sweeps + allocs/op)
+//
+// The real replica is measured by the bench/ module (bash bench/run.sh), not
+// here.
 package main
 
 import (
@@ -27,38 +28,11 @@ func main() {
 		warmup  = flag.Duration("warmup", 200*time.Millisecond, "virtual warm-up per run (discarded)")
 		measure = flag.Duration("measure", 500*time.Millisecond, "virtual measurement window per run")
 		which   = flag.String("experiment", "all",
-			"experiment to run: all, fig1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, table1, table2, table3, rss, nobatcher, executor, groupscaling, readmix, conflictsweep, bigstate, reconfig")
-		jsonPath = flag.String("json", "",
-			"write a machine-readable perf snapshot (group-scaling + durability + read-mix + conflict-sweep throughput and latency, codec/WAL/executor allocs/op) to this path and exit")
+			"experiment to run: all, fig1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, table1, table2, table3, rss, nobatcher")
 	)
 	flag.Parse()
 
 	start := time.Now()
-	if *jsonPath != "" {
-		// The perf snapshot runs on the real pipeline (not the simulator):
-		// decided-batch throughput across groups/durability plus the
-		// zero-copy hot-path alloc probes.
-		snap, gr, dr, rm, cs, bs, rc, err := experiments.BenchSnapshot(
-			experiments.GroupOptions{Warmup: *warmup, Measure: *measure},
-			experiments.DurabilityOptions{Warmup: *warmup, Measure: *measure},
-			experiments.ReadMixOptions{Warmup: *warmup, Measure: *measure},
-			experiments.ConflictSweepOptions{Warmup: *warmup, Measure: *measure},
-			experiments.BigStateOptions{},
-			experiments.ReconfigOptions{Warmup: *warmup, Phase: *measure},
-		)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchJSON(*jsonPath, snap); err != nil {
-			fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(gr.Report, dr.Report, rm.Report, cs.Report, bs.Report, rc.Report)
-		fmt.Printf("\nwrote %s (done in %v)\n", *jsonPath, time.Since(start).Round(time.Millisecond))
-		return
-	}
-
 	s := experiments.NewSuite(experiments.Options{Warmup: *warmup, Measure: *measure})
 	switch strings.ToLower(*which) {
 	case "all":
@@ -103,53 +77,6 @@ func main() {
 		fmt.Print(s.AblationRSS().Report)
 	case "nobatcher":
 		fmt.Print(s.AblationNoBatcher().Report)
-	case "executor":
-		// Runs on the real pipeline (not the simulator): executed throughput
-		// vs executor workers and workload conflict rate.
-		fmt.Print(experiments.ExecutorScaling(experiments.ExecutorOptions{
-			Warmup: *warmup, Measure: *measure,
-		}).Report)
-	case "groupscaling":
-		// Runs on the real pipeline: decided-batch throughput vs ordering
-		// groups, window size, and workload conflict rate.
-		fmt.Print(experiments.GroupScaling(experiments.GroupOptions{
-			Warmup: *warmup, Measure: *measure,
-		}).Report)
-	case "conflictsweep":
-		// Runs on the real pipeline: op throughput of a mixed single/multi-key
-		// transfer workload, fence scheduling vs the barrier compat mode.
-		fmt.Print(experiments.ConflictSweep(experiments.ConflictSweepOptions{
-			Warmup: *warmup, Measure: *measure,
-		}).Report)
-	case "bigstate":
-		// Runs on the real pipeline and the service layer: cut pause vs
-		// state size, delta bytes vs churn, chunked transfer vs frame
-		// ceiling.
-		bs, err := experiments.BigState(experiments.BigStateOptions{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bigstate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bs.Report)
-	case "reconfig":
-		// Runs on the real pipeline: a live 3→4 replica add under closed-loop
-		// write load — throughput dip across the stop-the-group handoff,
-		// add commit latency, joiner catch-up, zero acked-write loss.
-		rc, err := experiments.Reconfig(experiments.ReconfigOptions{
-			Warmup: *warmup, Phase: *measure,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reconfig: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rc.Report)
-	case "readmix":
-		// Runs on the real pipeline: mixed read/write workload on the
-		// lease / read-index read path, leader-only vs follower reads,
-		// with per-class latency percentiles.
-		fmt.Print(experiments.ReadMix(experiments.ReadMixOptions{
-			Warmup: *warmup, Measure: *measure,
-		}).Report)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *which)
 		os.Exit(2)

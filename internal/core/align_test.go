@@ -97,6 +97,43 @@ func bootAlignCluster(t *testing.T, net *transport.Inproc, name string, delay ti
 	return c
 }
 
+// openLoop drives replica 0 of c from `clients` open-loop senders, each
+// writing PUTs to private keys as fast as backpressure admits and never
+// reading a reply, and returns replica 0's decided non-empty batches and
+// proposed pads per second over measure, after warmup: the ordering layer's
+// capacity, not request latency.
+func openLoop(t *testing.T, c *alignCluster, clients int, warmup, measure time.Duration) (batches, pads float64) {
+	t.Helper()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for cl := range clients {
+		conn, err := c.net.Dial(c.reps[0].cfg.ClientAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer conn.Close()
+			for seq := uint64(1); !stop.Load(); seq++ {
+				if sendPut(conn, uint64(1+cl), seq, fmt.Sprintf("c%d-k%d", cl, seq%64)) != nil {
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(warmup)
+	r := c.reps[0]
+	b0, p0, t0 := r.DecidedBatches(), r.PadsProposed(), time.Now()
+	time.Sleep(measure)
+	secs := time.Since(t0).Seconds()
+	batches = float64(r.DecidedBatches()-b0) / secs
+	pads = float64(r.PadsProposed()-p0) / secs
+	stop.Store(true)
+	wg.Wait()
+	return batches, pads
+}
+
 // keysByGroup returns, per ordering group, `per` distinct keys that route
 // there.
 func keysByGroup(groups, per int) [][]string {
@@ -491,5 +528,37 @@ func TestMergeLastRowCompletes(t *testing.T) {
 	}
 	if c.reps[0].PadsProposed() == 0 {
 		t.Error("no pad proposed: the siblings' slots of the row were never filled")
+	}
+}
+
+// TestEvenLoadProposesNoPads saturates G ∈ {1, 2, 4} groups evenly (private
+// keys, no conflicts) over a 500 µs network: every group decides batches,
+// and since an evenly loaded group always has a ready batch for the slot the
+// fill rule wants, alignment costs it no pad. Merged delivery needs every
+// group's slot of a row, so merged batches with no pad mean every group
+// decided real ones.
+func TestEvenLoadProposesNoPads(t *testing.T) {
+	for _, groups := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			c := startAlignCluster(t, fmt.Sprintf("even%d", groups), 500*time.Microsecond,
+				func(int) Service {
+					kv := service.NewKV()
+					kv.ExecuteCost = 1
+					return kv
+				},
+				func(_ int, conf *Config) {
+					conf.Groups, conf.Window = groups, 4
+					// One request per batch: decided batches are ordered requests.
+					conf.Batch = batch.Policy{MaxBytes: 48, MaxDelay: time.Millisecond}
+				})
+			batches, pads := openLoop(t, c, 8, 80*time.Millisecond, 150*time.Millisecond)
+			t.Logf("G=%d: %.0f batches/s, %.0f pads/s", groups, batches, pads)
+			if batches <= 0 {
+				t.Errorf("G=%d decided no batches", groups)
+			}
+			if pads != 0 {
+				t.Errorf("G=%d at 0%% conflict proposed %.0f pads/s, want 0", groups, pads)
+			}
+		})
 	}
 }

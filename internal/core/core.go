@@ -193,15 +193,6 @@ type Config struct {
 	// ExecutorQueueCap bounds each execution worker's input queue
 	// (default 256, applied by withDefaults like every other queue cap).
 	ExecutorQueueCap int
-	// ExecutorBarrierMultiKey restores the pre-PR7 behavior of running
-	// every multi-key command as a global barrier instead of fence-
-	// scheduling it onto only its involved workers (ablation/bisection
-	// knob; the conflict-sweep benchmark uses it as the "before" mode).
-	ExecutorBarrierMultiKey bool
-
-	// CoarseReplyCache switches the reply cache to the single-lock variant
-	// (ablation of Sec. V-D).
-	CoarseReplyCache bool
 
 	// Profiling optionally receives per-thread accounting; nil disables.
 	Profiling *profiling.Registry

@@ -135,3 +135,49 @@ func TestOnlyVotesWaitForTheDisk(t *testing.T) {
 		})
 	}
 }
+
+// TestDurabilitySmoke measures what the write-ahead log costs ordering:
+// group commit (SyncPolicy batch) must keep decided-batch throughput near the
+// no-fsync baseline (SyncPolicy none), because the fsync runs on the Syncer
+// thread and only votes wait for it. On a small shared host the two compete
+// for CPU and the ratio lands around 0.6–0.75 with heavy variance, so the
+// assertion is the regression bound: a change that puts an fsync per record
+// back on the critical path collapses the ratio to ~0.02–0.05 on every
+// attempt.
+func TestDurabilitySmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures wall-clock throughput; skipped in -short")
+	}
+	const regressionBound = 0.40
+	rate := func(policy wal.SyncPolicy) float64 {
+		dir := t.TempDir()
+		c := startAlignCluster(t, "dur", 0,
+			func(int) Service { return service.NewKV() },
+			func(i int, conf *Config) {
+				// A wide window leaves group commit appends to coalesce.
+				conf.Window, conf.ProposalQueueCap = 128, 256
+				conf.Batch = batch.Policy{MaxBytes: 48, MaxDelay: time.Millisecond}
+				conf.DataDir = fmt.Sprintf("%s/r%d", dir, i)
+				conf.SyncPolicy = policy
+			})
+		defer func() {
+			for _, r := range c.reps {
+				r.Stop()
+			}
+		}()
+		batches, _ := openLoop(t, c, 8, 120*time.Millisecond, 400*time.Millisecond)
+		if batches <= 0 {
+			t.Fatalf("SyncPolicy %s decided no batches", policy)
+		}
+		return batches
+	}
+	ratio := 0.0
+	for attempt := 0; attempt < 3 && ratio < regressionBound; attempt++ {
+		none := rate(wal.SyncNone)
+		ratio = rate(wal.SyncBatch) / none
+		t.Logf("attempt %d: batch/none ratio %.2f (none %.0f batches/s)", attempt, ratio, none)
+	}
+	if ratio < regressionBound {
+		t.Errorf("SyncPolicy=batch throughput is %.0f%% of the SyncPolicy=none baseline: fsync batching has regressed", 100*ratio)
+	}
+}

@@ -58,20 +58,20 @@ type readMgr struct {
 	r *Replica
 	q *queue.Bounded[readEvent]
 
-	pending  []readReq            // follower reads awaiting the next index query
-	inflight map[uint64][]readReq // rounds awaiting a ReadIndexResp
+	pending []readReq // follower reads awaiting the next index query
+	// At most one read-index round is outstanding: inflight holds its reads
+	// (nil when none) and querySeq its query's sequence number. One timer
+	// expires it: armed at launched by launchQuery, stopped by handleResp.
+	inflight []readReq
 	querySeq uint64
-	// At most one round is outstanding, so one timer expires them all: armed
-	// at launched by launchQuery, stopped by handleResp.
 	expiry   *time.Timer
 	launched time.Time
 }
 
 func newReadMgr(r *Replica) *readMgr {
 	m := &readMgr{
-		r:        r,
-		q:        queue.NewBounded[readEvent]("ReadQueue", r.cfg.RequestQueueCap),
-		inflight: make(map[uint64][]readReq),
+		r: r,
+		q: queue.NewBounded[readEvent]("ReadQueue", r.cfg.RequestQueueCap),
 	}
 	// Posts rTimer; re-arms itself while the nudge races a full queue, so a
 	// round can never wedge the single-outstanding-query slot.
@@ -110,11 +110,10 @@ func (m *readMgr) run() {
 		case rTimer:
 			// A fire that lost the race with its round's response finds no
 			// round, or the next one still young (and its own timer armed).
-			if time.Since(m.launched) >= m.r.cfg.RetransPeriod {
-				for seq, rr := range m.inflight {
-					delete(m.inflight, seq)
-					m.fail(rr)
-				}
+			if m.inflight != nil && time.Since(m.launched) >= m.r.cfg.RetransPeriod {
+				rr := m.inflight
+				m.inflight = nil
+				m.fail(rr)
 			}
 			m.launchQuery()
 		}
@@ -151,7 +150,7 @@ func (m *readMgr) handleSubmit(rr readReq) {
 // launchQuery sends one ReadIndexQuery covering every pending read, keeping
 // at most one round outstanding so concurrent reads coalesce behind it.
 func (m *readMgr) launchQuery() {
-	if len(m.pending) == 0 || len(m.inflight) > 0 {
+	if len(m.pending) == 0 || m.inflight != nil {
 		return
 	}
 	r := m.r
@@ -165,10 +164,9 @@ func (m *readMgr) launchQuery() {
 		return
 	}
 	m.querySeq++
-	seq := m.querySeq
-	m.inflight[seq] = m.pending
+	m.inflight = m.pending
 	m.pending = nil
-	r.enqueueSend(leader, &wire.ReadIndexQuery{Seq: seq})
+	r.enqueueSend(leader, &wire.ReadIndexQuery{Seq: m.querySeq})
 	// Expire the round if the leaseholder never answers.
 	m.launched = time.Now()
 	m.expiry.Reset(r.cfg.RetransPeriod)
@@ -177,11 +175,11 @@ func (m *readMgr) launchQuery() {
 // handleResp completes one read-index round: wait for local execution to
 // pass the returned frontier, then serve the round's reads.
 func (m *readMgr) handleResp(seq uint64, index wire.InstanceID, ok bool) {
-	rr, found := m.inflight[seq]
-	if !found {
+	if m.inflight == nil || seq != m.querySeq {
 		return // stale response for a round that already timed out
 	}
-	delete(m.inflight, seq)
+	rr := m.inflight
+	m.inflight = nil
 	m.expiry.Stop()
 	if !ok {
 		m.fail(rr)

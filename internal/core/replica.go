@@ -151,7 +151,7 @@ type Replica struct {
 	drain     *drainJob
 	forceFull bool
 
-	replyCache replycache.Cache
+	replyCache *replycache.Sharded
 	registry   *clientRegistry
 
 	// execSeq is the execution scheduler's at-most-once table (client →
@@ -255,11 +255,7 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 		}
 	}
 	r.sendQs.Store(&sendQs)
-	if cfg.CoarseReplyCache {
-		r.replyCache = replycache.NewCoarse()
-	} else {
-		r.replyCache = replycache.NewSharded()
-	}
+	r.replyCache = replycache.NewSharded()
 	// Execution stage: parallel when the service declares conflicts and more
 	// than one worker is configured, otherwise the sequential fallback that
 	// runs inline on the ServiceManager thread.
@@ -267,11 +263,10 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 		r.groupKeys = ca.Keys
 	}
 	r.exec = executor.New(executor.Config{
-		Workers:         cfg.ExecutorWorkers,
-		Keys:            r.groupKeys,
-		QueueCap:        cfg.ExecutorQueueCap,
-		BarrierMultiKey: cfg.ExecutorBarrierMultiKey,
-		Profiling:       cfg.Profiling,
+		Workers:   cfg.ExecutorWorkers,
+		Keys:      r.groupKeys,
+		QueueCap:  cfg.ExecutorQueueCap,
+		Profiling: cfg.Profiling,
 	})
 	for _, g := range r.groups {
 		g.leaderHint.Store(int32(seed.Leader(seed.BaseView)))

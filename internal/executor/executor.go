@@ -38,7 +38,7 @@
 //   - No keys at all (no Keys function, or Keys returned nil/empty — an
 //     unparseable or whole-state command): the request is "global". The
 //     scheduler quiesces every worker and executes it inline, a full
-//     barrier. This is now the ONLY barrier case.
+//     barrier. This is the only barrier case.
 //
 // Deadlock freedom: fences are enqueued by the single scheduler, for all of
 // a join's workers, before the next request is scheduled, so every worker
@@ -100,12 +100,6 @@ type Config struct {
 	// QueueCap bounds each worker's input queue (default 256); a full queue
 	// blocks the scheduler, propagating backpressure to the DecisionQueue.
 	QueueCap int
-	// BarrierMultiKey restores the pre-dependency-scheduling behavior:
-	// a request whose keys span workers quiesces ALL workers and runs inline
-	// instead of being fence-scheduled onto only the involved ones. Kept as
-	// the measurable "before" of the conflict-sweep benchmark; never enable
-	// it in production.
-	BarrierMultiKey bool
 	// Profiling optionally registers the worker threads (Executor-i).
 	Profiling *profiling.Registry
 }
@@ -146,7 +140,7 @@ type Stats struct {
 	// fences alike).
 	Dispatched uint64
 	// Barriers counts full quiesce-the-world barriers: keyless/global
-	// commands (and, in BarrierMultiKey compat mode, multi-key ones).
+	// commands.
 	Barriers uint64
 	// Joins counts multi-key commands scheduled as join nodes.
 	Joins uint64
@@ -166,8 +160,6 @@ type Executor struct {
 	keys    func(req []byte) []string
 	queues  []*queue.Bounded[item]
 	threads []*profiling.Thread
-
-	barrierMultiKey bool
 
 	// wset/wseen are the scheduler's reused scratch for computing a
 	// request's distinct worker set without allocating (single scheduler
@@ -195,7 +187,7 @@ type Executor struct {
 // New builds an executor. A nil Keys function or Workers <= 1 yields a
 // sequential executor that never spawns goroutines.
 func New(cfg Config) *Executor {
-	e := &Executor{keys: cfg.Keys, barrierMultiKey: cfg.BarrierMultiKey}
+	e := &Executor{keys: cfg.Keys}
 	if cfg.Workers <= 1 || cfg.Keys == nil {
 		return e
 	}
@@ -334,10 +326,10 @@ func (e *Executor) Submit(th *profiling.Thread, req []byte, task Task) int {
 		e.wseen[w] = false
 	}
 	switch {
-	case len(ws) == 0 || (len(ws) > 1 && e.barrierMultiKey):
-		// Global command (or compat mode): full barrier. Wait for every
-		// dispatched task, then execute inline so the command observes (and
-		// is observed by) a fully serial prefix.
+	case len(ws) == 0:
+		// Global command: full barrier. Wait for every dispatched task, then
+		// execute inline so the command observes (and is observed by) a
+		// fully serial prefix.
 		e.Quiesce(th)
 		e.barriers.Add(1)
 		task(th)

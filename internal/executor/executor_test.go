@@ -241,8 +241,8 @@ func TestQueueStatsAndCounters(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.Dispatched != 40 || st.Barriers != 1 {
-		t.Errorf("Stats = %+v, want Dispatched=40 Barriers=1", st)
+	if st.Dispatched != 40 || st.Barriers != 1 || st.Joins != 0 || st.Fences != 0 {
+		t.Errorf("Stats = %+v, want Dispatched=40 Barriers=1 and no joins/fences", st)
 	}
 	e.ResetQueueStats()
 }
@@ -372,33 +372,12 @@ func TestMultiKeyDoesNotBlockDisjointWorkers(t *testing.T) {
 		t.Fatal("multi-key command never executed")
 	}
 	st := e.Stats()
-	if st.Joins != 1 || st.Fences != 2 {
-		t.Errorf("Stats = %+v, want Joins=1 Fences=2", st)
+	if st.Joins != 1 || st.Fences != 2 || st.Barriers != 0 {
+		t.Errorf("Stats = %+v, want Joins=1 Fences=2 Barriers=0", st)
 	}
 	if st.JoinWaits != 1 {
 		// Worker B's fence arrived while A was wedged, so it must have parked.
 		t.Errorf("JoinWaits = %d, want 1", st.JoinWaits)
-	}
-}
-
-// TestBarrierMultiKeyCompatMode pins the "before" behavior the conflict
-// sweep benchmarks against: with BarrierMultiKey set, a cross-worker key set
-// quiesces everything and runs inline, counted as a barrier, not a join.
-func TestBarrierMultiKeyCompatMode(t *testing.T) {
-	e := New(Config{Workers: 4, BarrierMultiKey: true, Keys: func(req []byte) []string {
-		return strings.Split(string(req), ",")
-	}})
-	e.Start()
-	defer e.Stop()
-	keys := distinctWorkerKeys(e, 2)
-	ran := false
-	w := e.Submit(nil, []byte(keys[0]+","+keys[1]), func(*profiling.Thread) { ran = true })
-	if w != Inline || !ran {
-		t.Fatalf("compat multi-key submit: worker=%d ran=%v, want inline synchronous", w, ran)
-	}
-	st := e.Stats()
-	if st.Barriers != 1 || st.Joins != 0 || st.Fences != 0 {
-		t.Errorf("Stats = %+v, want Barriers=1 and no joins/fences", st)
 	}
 }
 

@@ -275,35 +275,6 @@ func TestAblationNoBatcherCosts(t *testing.T) {
 	}
 }
 
-func TestExecutorScalingSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives the real pipeline; skipped in -short mode")
-	}
-	// Shape check only: the sweep runs, fills every cell with live traffic,
-	// and reports them. Actual speedup is hardware-dependent (needs cores),
-	// so it is asserted by the executor benchmarks, not here.
-	r := ExecutorScaling(ExecutorOptions{
-		Workers:     []int{1, 4},
-		ConflictPct: []int{0, 100},
-		Clients:     8,
-		ExecuteCost: 200,
-		Measure:     120 * time.Millisecond,
-	})
-	if len(r.Tput) != 2 || len(r.Tput[0]) != 2 {
-		t.Fatalf("Tput shape = %v, want 2x2", r.Tput)
-	}
-	for i, row := range r.Tput {
-		for j, v := range row {
-			if v <= 0 {
-				t.Errorf("cell conflict=%d%% workers=%d executed nothing", r.ConflictPct[i], r.Workers[j])
-			}
-		}
-	}
-	if !strings.Contains(r.Report, "Executor") {
-		t.Error("report missing header")
-	}
-}
-
 func TestDeterministicReports(t *testing.T) {
 	a := fastSuite().TableII()
 	b := fastSuite().TableII()

@@ -4,16 +4,11 @@
 // and updated by the ServiceManager thread after execution, so under load it
 // is hit from many threads at once.
 //
-// Two implementations are provided:
-//
-//   - Sharded: fine-grained locking across 2^k shards, the analogue of the
-//     java.util.concurrent.ConcurrentHashMap the paper adopted, which
-//     "eliminated any signs of contention in the reply cache".
-//   - Coarse: a single lock around one map, the naive design the paper
-//     reports performing poorly; kept as an ablation baseline.
-//
-// Both integrate with package profiling so lock contention shows up as
-// blocked time exactly like the paper's measurements.
+// Sharded spreads the table over 2^k fine-grained locks, the analogue of
+// the java.util.concurrent.ConcurrentHashMap the paper adopted, which
+// "eliminated any signs of contention in the reply cache". Its locks
+// integrate with package profiling so contention shows up as blocked time
+// exactly like the paper's measurements.
 package replycache
 
 import (
@@ -54,26 +49,6 @@ func (s Status) String() string {
 	}
 }
 
-// Cache is the reply cache interface shared by both implementations.
-type Cache interface {
-	// Lookup classifies (client, seq) and returns the cached reply when
-	// StatusCached. th accounts lock contention (may be nil).
-	Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Status)
-	// Update records the reply for the client's executed request seq.
-	// Updates with seq lower than the recorded one are ignored.
-	Update(th *profiling.Thread, client, seq uint64, reply []byte)
-	// Len returns the number of clients tracked.
-	Len() int
-	// LastSeqs returns every client's last recorded sequence number — used
-	// to rebuild the execution scheduler's at-most-once table after a
-	// snapshot install.
-	LastSeqs() map[uint64]uint64
-	// Marshal serializes the cache for snapshots/state transfer.
-	Marshal() []byte
-	// Restore replaces the contents from a Marshal-ed blob.
-	Restore(b []byte) error
-}
-
 type entry struct {
 	seq   uint64
 	reply []byte
@@ -94,12 +69,6 @@ type Sharded struct {
 	shards [numShards]shard
 }
 
-// Interface compliance checks.
-var (
-	_ Cache = (*Sharded)(nil)
-	_ Cache = (*Coarse)(nil)
-)
-
 // NewSharded returns an empty sharded cache.
 func NewSharded() *Sharded {
 	c := &Sharded{}
@@ -116,7 +85,8 @@ func (c *Sharded) shardFor(client uint64) *shard {
 	return &c.shards[(client*fib)>>(64-6)]
 }
 
-// Lookup implements Cache.
+// Lookup classifies (client, seq) and returns the cached reply when
+// StatusCached. th accounts lock contention (may be nil).
 func (c *Sharded) Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Status) {
 	s := c.shardFor(client)
 	s.mu.Lock(th)
@@ -124,7 +94,8 @@ func (c *Sharded) Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Stat
 	return classify(s.m, client, seq)
 }
 
-// Update implements Cache.
+// Update records the reply for the client's executed request seq. Updates
+// with seq lower than the recorded one are ignored.
 func (c *Sharded) Update(th *profiling.Thread, client, seq uint64, reply []byte) {
 	s := c.shardFor(client)
 	s.mu.Lock(th)
@@ -132,7 +103,7 @@ func (c *Sharded) Update(th *profiling.Thread, client, seq uint64, reply []byte)
 	store(s.m, client, seq, reply)
 }
 
-// Len implements Cache.
+// Len returns the number of clients tracked.
 func (c *Sharded) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -144,7 +115,9 @@ func (c *Sharded) Len() int {
 	return n
 }
 
-// LastSeqs implements Cache.
+// LastSeqs returns every client's last recorded sequence number — used to
+// rebuild the execution scheduler's at-most-once table after a snapshot
+// install.
 func (c *Sharded) LastSeqs() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
 	for i := range c.shards {
@@ -158,7 +131,7 @@ func (c *Sharded) LastSeqs() map[uint64]uint64 {
 	return out
 }
 
-// Marshal implements Cache.
+// Marshal serializes the cache for snapshots/state transfer.
 func (c *Sharded) Marshal() []byte {
 	merged := make(map[uint64]entry)
 	for i := range c.shards {
@@ -172,7 +145,7 @@ func (c *Sharded) Marshal() []byte {
 	return marshalMap(merged)
 }
 
-// Restore implements Cache.
+// Restore replaces the contents from a Marshal-ed blob.
 func (c *Sharded) Restore(b []byte) error {
 	m, err := unmarshalMap(b)
 	if err != nil {
@@ -190,68 +163,6 @@ func (c *Sharded) Restore(b []byte) error {
 		s.m[k] = v
 		s.mu.Unlock()
 	}
-	return nil
-}
-
-// Coarse is the single-lock reply cache (ablation baseline).
-type Coarse struct {
-	mu profiling.Mutex
-	m  map[uint64]entry
-}
-
-// NewCoarse returns an empty coarse-locked cache.
-func NewCoarse() *Coarse {
-	return &Coarse{m: make(map[uint64]entry)}
-}
-
-// Lookup implements Cache.
-func (c *Coarse) Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Status) {
-	c.mu.Lock(th)
-	defer c.mu.Unlock()
-	return classify(c.m, client, seq)
-}
-
-// Update implements Cache.
-func (c *Coarse) Update(th *profiling.Thread, client, seq uint64, reply []byte) {
-	c.mu.Lock(th)
-	defer c.mu.Unlock()
-	store(c.m, client, seq, reply)
-}
-
-// Len implements Cache.
-func (c *Coarse) Len() int {
-	c.mu.Lock(nil)
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// LastSeqs implements Cache.
-func (c *Coarse) LastSeqs() map[uint64]uint64 {
-	c.mu.Lock(nil)
-	defer c.mu.Unlock()
-	out := make(map[uint64]uint64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v.seq
-	}
-	return out
-}
-
-// Marshal implements Cache.
-func (c *Coarse) Marshal() []byte {
-	c.mu.Lock(nil)
-	defer c.mu.Unlock()
-	return marshalMap(c.m)
-}
-
-// Restore implements Cache.
-func (c *Coarse) Restore(b []byte) error {
-	m, err := unmarshalMap(b)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock(nil)
-	c.m = m
-	c.mu.Unlock()
 	return nil
 }
 

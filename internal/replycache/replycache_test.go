@@ -10,12 +10,28 @@ import (
 	"gosmr/internal/profiling"
 )
 
-// caches returns both implementations for shared table tests.
-func caches() map[string]func() Cache {
-	return map[string]func() Cache{
-		"sharded": func() Cache { return NewSharded() },
-		"coarse":  func() Cache { return NewCoarse() },
-	}
+// caches returns the implementations under the shared table tests.
+func caches() map[string]func() *Sharded {
+	return map[string]func() *Sharded{"sharded": NewSharded}
+}
+
+// coarse is the single-lock design the paper measured before sharding: one
+// lock around the whole table. It exists only as the contention baseline.
+type coarse struct {
+	mu profiling.Mutex
+	c  *Sharded
+}
+
+func (c *coarse) Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Status) {
+	c.mu.Lock(th)
+	defer c.mu.Unlock()
+	return c.c.Lookup(nil, client, seq)
+}
+
+func (c *coarse) Update(th *profiling.Thread, client, seq uint64, reply []byte) {
+	c.mu.Lock(th)
+	defer c.mu.Unlock()
+	c.c.Update(nil, client, seq, reply)
 }
 
 func TestStatusString(t *testing.T) {
@@ -124,7 +140,7 @@ func TestRestoreCorrupt(t *testing.T) {
 				}
 			}
 			// Trailing garbage after a valid entry.
-			good := NewCoarse()
+			good := NewSharded()
 			good.Update(nil, 1, 1, []byte("x"))
 			if err := c.Restore(append(good.Marshal(), 0xFF)); err == nil {
 				t.Error("Restore with trailing bytes succeeded")
@@ -191,7 +207,10 @@ func TestShardedContentionLowerThanCoarse(t *testing.T) {
 	// sharded one mostly avoids lock overlap. We assert the sharded cache
 	// accrues no more blocked time than the coarse one (timing-based, so
 	// only a weak inequality with slack is asserted).
-	measure := func(c Cache) (blocked int64) {
+	measure := func(c interface {
+		Lookup(th *profiling.Thread, client, seq uint64) ([]byte, Status)
+		Update(th *profiling.Thread, client, seq uint64, reply []byte)
+	}) (blocked int64) {
 		reg := profiling.NewRegistry()
 		var wg sync.WaitGroup
 		for w := range 8 {
@@ -211,9 +230,9 @@ func TestShardedContentionLowerThanCoarse(t *testing.T) {
 		return int64(reg.TotalBlocked())
 	}
 	sharded := measure(NewSharded())
-	coarse := measure(NewCoarse())
-	if sharded > coarse*2+int64(1e7) {
-		t.Errorf("sharded blocked %d > coarse blocked %d: sharding made contention worse", sharded, coarse)
+	single := measure(&coarse{c: NewSharded()})
+	if sharded > single*2+int64(1e7) {
+		t.Errorf("sharded blocked %d > coarse blocked %d: sharding made contention worse", sharded, single)
 	}
 }
 

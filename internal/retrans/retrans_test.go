@@ -164,3 +164,12 @@ func TestAddAfterStopReturnsCancelledHandle(t *testing.T) {
 		t.Error("Cancel lost the cancelled state")
 	}
 }
+
+func BenchmarkRetransmitterAddCancel(b *testing.B) {
+	r := New(Options{Period: time.Hour})
+	defer r.Stop()
+	for b.Loop() {
+		h := r.Add(func() {})
+		h.Cancel()
+	}
+}

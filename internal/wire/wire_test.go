@@ -539,3 +539,37 @@ func TestGroupCut(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCodecAppendGroupMsg measures the multi-group envelope encode,
+// which the zero-copy path encodes inline (no nested Marshal and copy).
+func BenchmarkCodecAppendGroupMsg(b *testing.B) {
+	msg := &GroupMsg{Group: 2,
+		Msg: &Propose{View: 3, ID: 42, DecidedUpTo: 41, Value: make([]byte, 1300)}}
+	buf := make([]byte, 0, 2048)
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = AppendMessage(buf[:0], msg)
+	}
+}
+
+// BenchmarkCodecDecodeBatchInto is the deliver path: a decided batch decoded
+// into reused storage, requests released after "execution".
+func BenchmarkCodecDecodeBatchInto(b *testing.B) {
+	value := EncodeBatch([]*ClientRequest{
+		{ClientID: 1, Seq: 1, Payload: make([]byte, 128)},
+		{ClientID: 2, Seq: 2, Payload: make([]byte, 128)},
+		{ClientID: 3, Seq: 3, Payload: make([]byte, 128)},
+	})
+	var reqs []*ClientRequest
+	b.ReportAllocs()
+	for b.Loop() {
+		var err error
+		reqs, err = DecodeBatchInto(reqs, value)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range reqs {
+			Release(r)
+		}
+	}
+}
