@@ -595,12 +595,20 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 		chunkQuota    atomic.Int32
 		chunkFrames   atomic.Int64 // SnapshotChunk frames observed toward the victim
 		maxChunkFrame atomic.Int64 // largest such frame, bytes
+		gapPassed     atomic.Int64 // liveness frames the gap let through
+		gapDropped    atomic.Int64 // frames the gap starved the victim of
 	)
 	net.SetFault(func(from, to string, frame []byte) (bool, bool) {
 		if to != victim || len(frame) == 0 {
 			return false, false
 		}
+		// Peer frames carry a header; Hello, the one bare peer frame, is
+		// classified by its own tag.
 		typ := wire.MsgType(frame[0])
+		if _, _, m, err := wire.UnmarshalPeer(frame); err == nil {
+			typ = m.Type()
+			wire.Release(m)
+		}
 		if typ == wire.TSnapshotChunk {
 			chunkFrames.Add(1)
 			if n := int64(len(frame)); n > maxChunkFrame.Load() {
@@ -614,8 +622,10 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 			// liveness traffic passes.
 			switch typ {
 			case wire.THello, wire.THeartbeat, wire.TLeaseAck:
+				gapPassed.Add(1)
 				return false, false
 			}
+			gapDropped.Add(1)
 			return true, false
 		case faultChunks:
 			if typ == wire.TSnapshotChunk {
@@ -686,6 +696,10 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 	mode.Store(faultGap)
 	put("mid", 0, midKeys)
 	waitForSnapshotCut(t, dirs[0], uint64(preKeys+midKeys-20), 15*time.Second)
+	if gapPassed.Load() == 0 || gapDropped.Load() == 0 {
+		t.Fatalf("gap let %d liveness frames through and dropped %d others; want both > 0",
+			gapPassed.Load(), gapDropped.Load())
+	}
 
 	// Let the transfer start but strangle it after two staged chunks: the
 	// puller must eventually give up (a visible snapshot failure), leaving a

@@ -128,14 +128,14 @@ type Config struct {
 	// re-resolve the full address map from a TopoUpdate alone.
 	PeerClientAddrs []string
 	// TopologyEpoch seeds the topology epoch this replica boots into.
-	// 0 (the default) is the boot-frozen legacy shape; a replica joining or
+	// 0 (the default) is the cluster as booted; a replica joining or
 	// restarting into a reconfigured cluster must be given the committed
 	// epoch (see Replica.AddReplica). Boot refuses a seed older than what
 	// the DataDir holds.
 	TopologyEpoch int64
-	// TopologyBaseView seeds the first view of the boot epoch. Only
-	// meaningful with TopologyEpoch > 0: pass BaseView from the committed
-	// topology returned by AddReplica.
+	// TopologyBaseView seeds the first view of the boot epoch, where a
+	// fresh replica starts: 0 for a cluster never reconfigured, else
+	// BaseView from the committed topology returned by AddReplica.
 	TopologyBaseView int64
 	// OnFaulted, when non-nil, is called (once, on its own goroutine) when
 	// the replica fail-stops on a WAL disk fault or learns it was
@@ -155,8 +155,8 @@ type Config struct {
 	// at-most-once semantics, and snapshots behave exactly as with a single
 	// group. Requests route to a group by conflict key (keyless requests —
 	// and all requests of a non-ConflictAware service — order in group 0).
-	// Default 1: the paper's single ordering pipeline, wire-compatible with
-	// pre-group replicas. Must be identical on every replica.
+	// Default 1: the paper's single ordering pipeline. Must be identical on
+	// every replica.
 	Groups int
 	// Window is the pipelining limit WND: the maximum number of consensus
 	// instances in flight per ordering group (default 10).

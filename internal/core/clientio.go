@@ -76,7 +76,7 @@ func (c *clientIO) runAcceptLoop() {
 		}
 		cc := &clientConn{
 			conn:    conn,
-			replies: queue.NewBounded[wire.Message]("replies", c.r.cfg.ReplyQueueCap),
+			replies: queue.NewBounded[wire.Message]("replies", replyQueueCap),
 		}
 		c.mu.Lock()
 		if c.closed {

@@ -69,17 +69,18 @@ type Config struct {
 	// addresses so a client pinned to a removed replica can re-resolve.
 	PeerClientAddrs []string
 	// TopologyEpoch is the epoch of the seed topology described by PeerAddrs.
-	// Epoch 0 (the default) is the boot-frozen legacy shape: peer frames are
-	// sent unwrapped and no reconfiguration has happened. A replica restarted
+	// Epoch 0 (the default) is the cluster as booted, before any
+	// reconfiguration; it is a topology like any other. A replica restarted
 	// after a reconfiguration must be given the committed epoch (and the
 	// matching PeerAddrs); boot refuses to start if the on-disk epoch is
 	// newer than this seed.
 	TopologyEpoch int64
 	// TopologyBaseView is the first view of the seed topology's epoch (the
 	// view every ordering group re-ran Phase 1 at when the epoch took
-	// effect). Ignored when TopologyEpoch is 0. A zero value is safe — the
-	// replica converges to the epoch's real base view from peer traffic or
-	// its own WAL — but seeding it avoids a round of stale-view messages.
+	// effect), where a fresh replica starts. 0 at epoch 0. A zero value is
+	// safe at any epoch — the replica converges to the epoch's real base
+	// view from peer traffic or its own WAL — but seeding it avoids a round
+	// of stale-view messages.
 	TopologyBaseView int64
 	// OnFaulted, when non-nil, is called at most once when the replica
 	// transitions to the fail-stop Faulted state (disk fault) or is
@@ -97,8 +98,8 @@ type Config struct {
 	// retransmission state, multiplexed over the shared per-peer
 	// connections; a deterministic merge stage recombines the per-group
 	// decision streams into the single total order the execution stage
-	// consumes. Default 1, the paper's single-ordering-thread architecture
-	// (and its wire format). Must be identical on every replica.
+	// consumes. Default 1, the paper's single-ordering-thread
+	// architecture. Must be identical on every replica.
 	Groups int
 	// Window is the pipelining limit WND (max concurrent instances) — per
 	// ordering group. Default 10, the paper's baseline.
@@ -108,14 +109,9 @@ type Config struct {
 	// cannot propose (see runBatcher).
 	Batch batch.Policy
 
-	// Queue capacities (defaults follow the paper's setup where reported:
-	// RequestQueue 1000, ProposalQueue 20).
-	RequestQueueCap  int
+	// ProposalQueueCap bounds each group's ProposalQueue (default 20, the
+	// paper's setup).
 	ProposalQueueCap int
-	DispatchQueueCap int
-	DecisionQueueCap int
-	SendQueueCap     int
-	ReplyQueueCap    int
 
 	// Failure-detector timing.
 	HeartbeatInterval time.Duration
@@ -134,8 +130,6 @@ type Config struct {
 	MaxClockSkew time.Duration
 	// RetransPeriod is the initial retransmission period.
 	RetransPeriod time.Duration
-	// CatchUpTimeout re-arms an unanswered catch-up query.
-	CatchUpTimeout time.Duration
 
 	// SnapshotEvery triggers a service snapshot (and log truncation) every
 	// that many executed instances; 0 disables snapshotting.
@@ -165,11 +159,6 @@ type Config struct {
 	// commit, the default — wal.SyncAlways, or wal.SyncNone). Only
 	// meaningful with DataDir set.
 	SyncPolicy wal.SyncPolicy
-	// WALMinSyncInterval overrides the WAL Syncer's adaptive group-commit
-	// spacing with a fixed floor (0 = adapt from measured fsync latency,
-	// the default; negative disables the floor). Only meaningful with
-	// DataDir set.
-	WALMinSyncInterval time.Duration
 	// WALRetainCheckpoints is how many previous checkpoint generations of
 	// WAL segments each group keeps for disk-served catch-up (0 takes the
 	// wal default of 1). Only meaningful with DataDir set.
@@ -190,13 +179,22 @@ type Config struct {
 	// any value <= 1) keeps the original single-threaded ServiceManager
 	// execution path.
 	ExecutorWorkers int
-	// ExecutorQueueCap bounds each execution worker's input queue
-	// (default 256, applied by withDefaults like every other queue cap).
-	ExecutorQueueCap int
 
 	// Profiling optionally receives per-thread accounting; nil disables.
 	Profiling *profiling.Registry
 }
+
+// Fixed queue capacities (RequestQueue 1000 follows the paper's setup) and
+// the period that re-arms an unanswered catch-up query.
+const (
+	requestQueueCap  = 1000
+	dispatchQueueCap = 4096
+	decisionQueueCap = 512
+	sendQueueCap     = 1024
+	replyQueueCap    = 256
+	executorQueueCap = 256
+	catchUpTimeout   = 250 * time.Millisecond
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -212,26 +210,8 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 10
 	}
-	if c.ExecutorQueueCap <= 0 {
-		c.ExecutorQueueCap = 256
-	}
-	if c.RequestQueueCap <= 0 {
-		c.RequestQueueCap = 1000
-	}
 	if c.ProposalQueueCap <= 0 {
 		c.ProposalQueueCap = 20
-	}
-	if c.DispatchQueueCap <= 0 {
-		c.DispatchQueueCap = 4096
-	}
-	if c.DecisionQueueCap <= 0 {
-		c.DecisionQueueCap = 512
-	}
-	if c.SendQueueCap <= 0 {
-		c.SendQueueCap = 1024
-	}
-	if c.ReplyQueueCap <= 0 {
-		c.ReplyQueueCap = 256
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 50 * time.Millisecond
@@ -252,9 +232,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetransPeriod <= 0 {
 		c.RetransPeriod = 100 * time.Millisecond
-	}
-	if c.CatchUpTimeout <= 0 {
-		c.CatchUpTimeout = 250 * time.Millisecond
 	}
 	if c.SnapshotChunkBytes <= 0 {
 		c.SnapshotChunkBytes = 256 << 10

@@ -37,8 +37,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.ClientIOWorkers != 4 || cfg.Window != 10 ||
-		cfg.RequestQueueCap != 1000 || cfg.ProposalQueueCap != 20 {
+	if cfg.ClientIOWorkers != 4 || cfg.Window != 10 || cfg.ProposalQueueCap != 20 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }

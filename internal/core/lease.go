@@ -35,12 +35,12 @@ type leaseManager struct {
 	mu sync.Mutex
 
 	enabled  bool
-	id, n    int
+	id       int
 	duration time.Duration
 	skew     time.Duration
-	topo     *wire.Topology // non-nil after a reconfiguration: quorum + active set
+	topo     *wire.Topology // quorum + active set
 
-	// Grant side.
+	// Grant side. The per-peer tables span topo's ID space.
 	seq    uint64
 	grants [][]grantRec // outstanding grants per peer, oldest first
 	ackVw  []wire.View  // view of each peer's newest promise
@@ -63,31 +63,22 @@ type grantRec struct {
 // within one heartbeat round-trip, so a small window loses nothing.
 const maxOutstandingGrants = 8
 
-func newLeaseManager(id, n int, duration, skew time.Duration) *leaseManager {
+func newLeaseManager(id int, duration, skew time.Duration, topo *wire.Topology) *leaseManager {
 	lm := &leaseManager{
 		enabled:    duration > 0,
 		id:         id,
-		n:          n,
 		duration:   duration,
 		skew:       skew,
-		grants:     make([][]grantRec, n),
-		ackVw:      make([]wire.View, n),
-		ackExp:     make([]time.Time, n),
 		promLeader: -1,
 	}
-	for i := range lm.ackVw {
-		lm.ackVw[i] = -1
-	}
+	lm.setTopology(topo)
 	return lm
 }
 
-// setTopology resizes the per-peer tables to an epoch-stamped topology and
-// adopts its quorum/active set. Promises already recorded for surviving
-// peers carry over.
+// setTopology grows the per-peer tables to t's ID space and adopts its
+// quorum/active set. Promises already recorded for surviving peers carry
+// over.
 func (lm *leaseManager) setTopology(t *wire.Topology) {
-	if lm == nil {
-		return
-	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	for len(lm.grants) < len(t.Peers) {
@@ -95,7 +86,6 @@ func (lm *leaseManager) setTopology(t *wire.Topology) {
 		lm.ackVw = append(lm.ackVw, -1)
 		lm.ackExp = append(lm.ackExp, time.Time{})
 	}
-	lm.n = len(lm.grants)
 	lm.topo = t.Clone()
 }
 
@@ -126,11 +116,14 @@ func (lm *leaseManager) grant(peer int) (uint32, uint64, bool) {
 // leader always stops relying on a promise before the follower stops
 // honoring it.
 func (lm *leaseManager) onAck(peer int, view wire.View, seq uint64) {
-	if lm == nil || !lm.enabled || peer < 0 || peer >= lm.n {
+	if lm == nil || !lm.enabled {
 		return
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
+	if peer < 0 || peer >= len(lm.grants) {
+		return
+	}
 	for _, gr := range lm.grants[peer] {
 		if gr.seq != seq {
 			continue
@@ -155,22 +148,12 @@ func (lm *leaseManager) ackQuorumValid(v wire.View, now time.Time) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	count := 1 // self: revocation is the viewHint flip, not a promise
-	quorum := lm.n/2 + 1
-	for p := range lm.n {
-		if p == lm.id {
-			continue
-		}
-		if lm.topo != nil && !lm.topo.Active(p) {
-			continue
-		}
-		if lm.ackVw[p] == v && lm.ackExp[p].After(now) {
+	for p := range lm.ackVw {
+		if p != lm.id && lm.topo.Active(p) && lm.ackVw[p] == v && lm.ackExp[p].After(now) {
 			count++
 		}
 	}
-	if lm.topo != nil {
-		quorum = lm.topo.Quorum()
-	}
-	return count >= quorum
+	return count >= lm.topo.Quorum()
 }
 
 // onGrant handles a grant received from the group-0 leader: extend the local

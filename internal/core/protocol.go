@@ -141,10 +141,11 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 				// double-promise an older ballot. The one deliberate disk
 				// access on this thread; snapshots are rare.
 				states := []wal.Record{{Type: wal.RecView, View: node.View()}}
-				if t := node.Topology(); t != nil {
+				if t := node.Topology(); t.Epoch > 0 {
 					// The RecTopo records of the discarded segments carried
 					// the epoch; re-dump it so a restart from this checkpoint
-					// still boots in the right topology.
+					// still boots in the right topology. Epoch 0 journals
+					// none, so its checkpoints dump none either.
 					states = append(states, wal.Record{Type: wal.RecTopo, Value: wire.EncodeTopology(t)})
 				}
 				states = append(states, suffixStates(node.Log())...)
@@ -236,7 +237,7 @@ func (r *Replica) runProtocol(g *ordGroup, node *paxos.Node) {
 		// (parked until execution covers the leader's frontier) wait for.
 		if d := node.DecidedUpTo(); d > ps.toldUpTo && node.InFlight() == 0 && node.IsLeader() {
 			ps.toldUpTo = d
-			r.broadcast(wrapGroup(g.idx, &wire.Heartbeat{View: node.View(), DecidedUpTo: d}))
+			r.broadcast(g.idx, &wire.Heartbeat{View: node.View(), DecidedUpTo: d})
 		}
 	}
 }
@@ -250,8 +251,8 @@ func canPropose(leader, windowOpen bool, backlog, backlogCap int64, queued int) 
 }
 
 // applyEffects executes one Effects value from a group's protocol state
-// machine. Peer-bound messages are tagged with the group (group 0 stays
-// unwrapped), and decisions flow into the MergeQueue for the merge stage.
+// machine. Peer-bound messages are queued with the group, and decisions flow
+// into the MergeQueue for the merge stage.
 // Under group commit the votes among the sends are parked in the durable
 // gate until the WAL covers the records this event journaled.
 func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.Node,
@@ -318,7 +319,7 @@ func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.No
 				continue
 			}
 		}
-		r.sendOne(g, ps, s.To, wrapGroup(g.idx, s.Msg), s.Retrans)
+		r.sendOne(g, ps, s.To, s.Msg, s.Retrans)
 		if g.gated && !s.Vote && s.Retrans != nil {
 			// A Propose is on its way and its accept record is not on disk.
 			crashPoint("propose-sent")
@@ -341,9 +342,9 @@ func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.No
 	if e.Lease != nil {
 		// A heartbeat-carried lease grant from the current leader. Promise
 		// bookkeeping only — no acceptor state — so the ack goes out
-		// ungated (LeaseAck is group-agnostic and stays unwrapped).
+		// ungated (LeaseAck is group-agnostic: group 0).
 		if ack := r.leases.onGrant(e.Lease.From, e.Lease.View, e.Lease.DurationMS, e.Lease.Seq); ack != nil {
-			r.enqueueSend(e.Lease.From, ack)
+			r.enqueueSend(e.Lease.From, 0, ack)
 		}
 	}
 
@@ -351,27 +352,26 @@ func (r *Replica) applyEffects(th *profiling.Thread, g *ordGroup, node *paxos.No
 		// Catch-up queries carry no acceptor state; they go out ungated.
 		leader := node.Leader()
 		if leader != r.cfg.ID {
-			r.enqueueSend(leader, wrapGroup(g.idx, e.CatchUp))
+			r.enqueueSend(leader, g.idx, e.CatchUp)
 		}
 		// Re-arm: if the response never comes, the state machine re-issues.
 		// The timer carries the query's generation so a timeout that lost
 		// the race with the response is a no-op instead of a duplicate query.
 		gen := e.CatchUpGen
-		timeout := r.cfg.CatchUpTimeout
-		time.AfterFunc(timeout, func() {
+		time.AfterFunc(catchUpTimeout, func() {
 			_, _ = g.dispatchQ.TryPut(event{kind: evCatchUpTimer, gen: gen})
 		})
 	}
 }
 
-// sendOne transmits a (group-wrapped) message and registers its
-// retransmission when key is non-nil.
+// sendOne transmits one of g's messages and registers its retransmission
+// when key is non-nil.
 func (r *Replica) sendOne(g *ordGroup, ps *protoState, to int, msg wire.Message, key *paxos.RetransKey) {
 	send := func() {
 		if to == paxos.Broadcast {
-			r.broadcast(msg)
+			r.broadcast(g.idx, msg)
 		} else {
-			r.enqueueSend(to, msg)
+			r.enqueueSend(to, g.idx, msg)
 		}
 	}
 	send()
@@ -399,7 +399,7 @@ func (r *Replica) releaseDurable(th *profiling.Thread, g *ordGroup, node *paxos.
 		case v.to == r.cfg.ID:
 			r.applyEffects(th, g, node, ps, node.HandleMessage(v.to, v.msg))
 		default:
-			r.sendOne(g, ps, v.to, wrapGroup(g.idx, v.msg), v.key)
+			r.sendOne(g, ps, v.to, v.msg, v.key)
 		}
 	}
 	// Reuse the array: restart it when drained, slide the tail down once

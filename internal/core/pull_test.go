@@ -94,11 +94,15 @@ func TestFullWindowGrowsBatchBounded(t *testing.T) {
 	reqBytes := wire.EncodedRequestSize(len(payload))
 	var shut atomic.Bool
 	var largest atomic.Int64 // largest Propose frame seen
+	var held atomic.Int64    // Accepts dropped while shut
 	net := transport.NewInproc(0)
 	net.SetFault(func(_, _ string, frame []byte) (bool, bool) {
-		switch wire.MsgType(frame[0]) {
+		switch peerMsgType(frame) {
 		case wire.TAccept:
-			return shut.Load(), false
+			if shut.Load() {
+				held.Add(1)
+				return true, false
+			}
 		case wire.TPropose:
 			for n := int64(len(frame)); n > largest.Load(); {
 				largest.Store(n)
@@ -141,6 +145,9 @@ func TestFullWindowGrowsBatchBounded(t *testing.T) {
 		return g.proposalQ.Len() == 1 && g.requestQ.Len() == 0
 	})
 	shut.Store(false) // the retransmitted Proposes are accepted now
+	if held.Load() == 0 {
+		t.Fatal("no Accept was dropped: the shut window never fired")
+	}
 
 	answered := make(map[uint64]int)
 	for range requests {
@@ -173,10 +180,15 @@ func TestFullWindowGrowsBatchBounded(t *testing.T) {
 func TestDelayBoundsBatchWithoutLeader(t *testing.T) {
 	const maxDelay = 100 * time.Millisecond
 	var hold atomic.Bool
+	var held atomic.Int64 // PrepareOKs dropped while holding
 	hold.Store(true)
 	net := transport.NewInproc(0)
 	net.SetFault(func(_, _ string, frame []byte) (bool, bool) {
-		return hold.Load() && wire.MsgType(frame[0]) == wire.TPrepareOK, false
+		if hold.Load() && peerMsgType(frame) == wire.TPrepareOK {
+			held.Add(1)
+			return true, false
+		}
+		return false, false
 	})
 	c := bootAlignCluster(t, net, "nolead", 0, func(int) Service { return service.NewKV() },
 		func(_ int, conf *Config) {
@@ -198,6 +210,9 @@ func TestDelayBoundsBatchWithoutLeader(t *testing.T) {
 	}
 	if r.IsLeader() {
 		t.Fatal("replica leads although every PrepareOK was dropped")
+	}
+	if held.Load() == 0 {
+		t.Fatal("no PrepareOK was dropped: the fault never fired")
 	}
 	hold.Store(false)
 	waitFor(t, 5*time.Second, "batch proposed and executed once Phase 1 completes", func() bool { return r.Executed() == 1 })
@@ -247,9 +262,14 @@ func TestDrainBeatTellsFollowers(t *testing.T) {
 // expires after RetransPeriod and bounces its reads to the ordered path.
 func TestReadIndexRoundExpires(t *testing.T) {
 	const period = 50 * time.Millisecond
+	var dropped atomic.Int64
 	net := transport.NewInproc(0)
 	net.SetFault(func(_, _ string, frame []byte) (bool, bool) {
-		return wire.MsgType(frame[0]) == wire.TReadIndexResp, false
+		if peerMsgType(frame) == wire.TReadIndexResp {
+			dropped.Add(1)
+			return true, false
+		}
+		return false, false
 	})
 	c := bootAlignCluster(t, net, "rexp", 0, func(int) Service { return service.NewKV() },
 		func(_ int, conf *Config) { conf.RetransPeriod = period })
@@ -279,6 +299,9 @@ func TestReadIndexRoundExpires(t *testing.T) {
 		if d := time.Since(t0); d < period || d > period+2*time.Second {
 			t.Errorf("read %d bounced after %v, want about RetransPeriod %v", seq, d, period)
 		}
+	}
+	if dropped.Load() == 0 {
+		t.Error("no ReadIndexResp was dropped: the bounces came from elsewhere")
 	}
 }
 
@@ -317,4 +340,15 @@ func TestReadIndexTimerIsReused(t *testing.T) {
 	m.launchQuery()
 	waitFor(t, 2*time.Second, "expiry event for an unanswered round", func() bool { return m.q.Len() == 1 })
 	m.expiry.Stop()
+}
+
+// peerMsgType is the type of the message a peer frame carries, or 0 for a
+// frame without the peer header (client frames, Hello).
+func peerMsgType(frame []byte) wire.MsgType {
+	_, _, m, err := wire.UnmarshalPeer(frame)
+	if err != nil {
+		return 0
+	}
+	defer wire.Release(m)
+	return m.Type()
 }

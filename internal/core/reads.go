@@ -71,7 +71,7 @@ type readMgr struct {
 func newReadMgr(r *Replica) *readMgr {
 	m := &readMgr{
 		r: r,
-		q: queue.NewBounded[readEvent]("ReadQueue", r.cfg.RequestQueueCap),
+		q: queue.NewBounded[readEvent]("ReadQueue", requestQueueCap),
 	}
 	// Posts rTimer; re-arms itself while the nudge races a full queue, so a
 	// round can never wedge the single-outstanding-query slot.
@@ -166,7 +166,7 @@ func (m *readMgr) launchQuery() {
 	m.querySeq++
 	m.inflight = m.pending
 	m.pending = nil
-	r.enqueueSend(leader, &wire.ReadIndexQuery{Seq: m.querySeq})
+	r.enqueueSend(leader, 0, &wire.ReadIndexQuery{Seq: m.querySeq})
 	// Expire the round if the leaseholder never answers.
 	m.launched = time.Now()
 	m.expiry.Reset(r.cfg.RetransPeriod)

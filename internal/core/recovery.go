@@ -123,7 +123,6 @@ func (r *Replica) recoverBoot() (*bootState, error) {
 			Dir:               gdir,
 			FS:                r.cfg.FS,
 			Policy:            r.cfg.SyncPolicy,
-			MinSyncInterval:   r.cfg.WALMinSyncInterval,
 			RetainCheckpoints: r.cfg.WALRetainCheckpoints,
 			RetainBytes:       r.cfg.WALRetainBytes,
 			OnDurable: func(int64) {
@@ -137,7 +136,7 @@ func (r *Replica) recoverBoot() (*bootState, error) {
 		}
 		w, recs, err := wal.Open(opts)
 		var ce *wal.CorruptError
-		if errors.As(err, &ce) && r.n > 1 {
+		if errors.As(err, &ce) && len(r.cfg.PeerAddrs) > 1 {
 			// A sealed segment below the tail fails its CRC: the durable
 			// suffix above it is unreadable. With peers to refill from,
 			// quarantine the log (rename every segment to *.corrupt) and

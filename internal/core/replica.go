@@ -86,7 +86,6 @@ func gname(base string, idx int) string {
 type Replica struct {
 	cfg Config
 	svc Service
-	n   int
 
 	// Ordering groups (Batcher + Protocol pipelines).
 	groups []*ordGroup
@@ -97,7 +96,7 @@ type Replica struct {
 	// peers' holes — reconfiguration swaps the slice, see reshapeSendQueues).
 	mergeQ    *queue.Bounded[groupDecision]
 	decisionQ *queue.Bounded[decisionItem]
-	sendQs    atomic.Pointer[[]*queue.Bounded[wire.Message]]
+	sendQs    atomic.Pointer[[]*queue.Bounded[sendItem]]
 
 	// topo is the committed epoch-stamped cluster topology (never nil after
 	// NewReplica); pendingTopo hands a newly adopted topology to the Protocol
@@ -213,15 +212,13 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 		return nil, fmt.Errorf("core: nil Service")
 	}
 	cfg = cfg.withDefaults()
-	n := len(cfg.PeerAddrs)
 
 	r := &Replica{
 		cfg:       cfg,
 		svc:       svc,
-		n:         n,
 		groups:    make([]*ordGroup, cfg.Groups),
-		mergeQ:    queue.NewBounded[groupDecision]("MergeQueue", cfg.DecisionQueueCap),
-		decisionQ: queue.NewBounded[decisionItem]("DecisionQueue", cfg.DecisionQueueCap),
+		mergeQ:    queue.NewBounded[groupDecision]("MergeQueue", decisionQueueCap),
+		decisionQ: queue.NewBounded[decisionItem]("DecisionQueue", decisionQueueCap),
 		snapshots: &snapshotStore{},
 		registry:  newClientRegistry(),
 		execSeq:   make(map[uint64]schedEntry),
@@ -243,18 +240,13 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 	for i := range r.groups {
 		r.groups[i] = &ordGroup{
 			idx:       i,
-			requestQ:  queue.NewBounded[*wire.ClientRequest](gname("RequestQueue", i), cfg.RequestQueueCap),
+			requestQ:  queue.NewBounded[*wire.ClientRequest](gname("RequestQueue", i), requestQueueCap),
 			proposalQ: queue.NewBounded[[]byte](gname("ProposalQueue", i), cfg.ProposalQueueCap),
-			dispatchQ: queue.NewBounded[event](gname("DispatcherQueue", i), cfg.DispatchQueueCap),
+			dispatchQ: queue.NewBounded[event](gname("DispatcherQueue", i), dispatchQueueCap),
 		}
 	}
-	sendQs := make([]*queue.Bounded[wire.Message], n)
-	for p := range n {
-		if p != cfg.ID && seed.Active(p) {
-			sendQs[p] = queue.NewBounded[wire.Message](fmt.Sprintf("SendQueue-%d", p), cfg.SendQueueCap)
-		}
-	}
-	r.sendQs.Store(&sendQs)
+	r.sendQs.Store(&[]*queue.Bounded[sendItem]{})
+	r.reshapeSendQueues(seed)
 	r.replyCache = replycache.NewSharded()
 	// Execution stage: parallel when the service declares conflicts and more
 	// than one worker is configured, otherwise the sequential fallback that
@@ -265,26 +257,20 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 	r.exec = executor.New(executor.Config{
 		Workers:   cfg.ExecutorWorkers,
 		Keys:      r.groupKeys,
-		QueueCap:  cfg.ExecutorQueueCap,
+		QueueCap:  executorQueueCap,
 		Profiling: cfg.Profiling,
 	})
 	for _, g := range r.groups {
 		g.leaderHint.Store(int32(seed.Leader(seed.BaseView)))
 		g.viewHint.Store(int32(seed.BaseView))
 	}
-	r.leases = newLeaseManager(cfg.ID, n, cfg.LeaseDuration, cfg.MaxClockSkew)
-	if seed.Epoch > 0 {
-		r.leases.setTopology(seed)
-	}
+	r.leases = newLeaseManager(cfg.ID, cfg.LeaseDuration, cfg.MaxClockSkew, seed)
 	r.applied.completed = -1
 	return r, nil
 }
 
 // ID returns this replica's ID.
 func (r *Replica) ID() int { return r.cfg.ID }
-
-// N returns the cluster size.
-func (r *Replica) N() int { return r.n }
 
 // Groups returns the number of ordering groups.
 func (r *Replica) Groups() int { return len(r.groups) }
@@ -532,8 +518,9 @@ func (r *Replica) Start() error {
 		})
 	}
 
+	bootTopo := r.topo.Load()
 	r.detector = fd.New(fd.Options{
-		ID: r.cfg.ID, N: r.n,
+		ID: r.cfg.ID, Topology: bootTopo,
 		HeartbeatInterval: r.cfg.HeartbeatInterval,
 		SuspectTimeout:    r.cfg.SuspectTimeout,
 		SendHeartbeat:     r.sendHeartbeat,
@@ -551,9 +538,6 @@ func (r *Replica) Start() error {
 		},
 		Thread: r.cfg.Profiling.Register("FailureDetector"),
 	})
-	if topo := r.topo.Load(); topo.Epoch > 0 {
-		r.detector.SetTopology(topo)
-	}
 	if boot != nil {
 		// The failure detector resumes from the recovered view: if that
 		// view's leader is gone, the suspect timeout rotates past it.
@@ -588,24 +572,18 @@ func (r *Replica) Start() error {
 	// Per-group Batcher and Protocol threads (Sec. V-C1/V-C2, one pipeline
 	// per ordering group). With a data directory, each node boots from its
 	// recovered log and view, and the log starts journaling to the group's
-	// WAL from here on (replay itself is never re-journaled).
-	bootTopo := r.topo.Load()
+	// WAL from here on (replay itself is never re-journaled). A fresh start
+	// begins at the boot epoch's base view, so every view the epoch uses
+	// resolves on its leader map.
 	for _, g := range r.groups {
 		opts := paxos.Options{
 			ID:        r.cfg.ID,
-			N:         r.n,
 			Window:    r.cfg.Window,
 			Group:     g.idx,
 			Groups:    len(r.groups),
 			Snapshots: r.snapshots.meta,
-		}
-		if bootTopo.Epoch > 0 {
-			// Epoch-stamped clusters hand the node its topology (quorum and
-			// view→leader map); epoch 0 keeps the legacy fixed shape. A fresh
-			// start begins at the epoch's base view so every view this epoch
-			// uses resolves on the new leader map.
-			opts.Topology = bootTopo
-			opts.View = bootTopo.BaseView
+			Topology:  bootTopo,
+			View:      bootTopo.BaseView,
 		}
 		if boot != nil {
 			gb := boot.groups[g.idx]
@@ -727,17 +705,8 @@ func (r *Replica) sendHeartbeat(peer int) {
 				hb.LeaseMS, hb.LeaseSeq = ms, seq
 			}
 		}
-		r.enqueueSend(peer, wrapGroup(g.idx, hb))
+		r.enqueueSend(peer, g.idx, hb)
 	}
-}
-
-// wrapGroup tags a consensus message with its ordering group. Group 0 stays
-// unwrapped: a single-group cluster speaks exactly the pre-group wire format.
-func wrapGroup(group int, msg wire.Message) wire.Message {
-	if group == 0 {
-		return msg
-	}
-	return &wire.GroupMsg{Group: int32(group), Msg: msg}
 }
 
 // groupFor routes a client request to an ordering group by its first
@@ -761,24 +730,32 @@ func (r *Replica) groupFor(payload []byte) int {
 	return int(executor.KeyHash(keys[0]) % uint64(len(r.groups)))
 }
 
-// enqueueSend places msg on peer's SendQueue without blocking; under
+// sendItem is one SendQueue entry: a peer message and the ordering group it
+// belongs to (0 for group-agnostic traffic). The sender stamps both, with
+// its current epoch, into the frame's header.
+type sendItem struct {
+	group int32
+	msg   wire.Message
+}
+
+// enqueueSend places group's msg on peer's SendQueue without blocking; under
 // overload messages are dropped and recovered by retransmission (the paper's
 // Protocol thread never blocks on socket writes, Sec. V-B).
-func (r *Replica) enqueueSend(peer int, msg wire.Message) {
+func (r *Replica) enqueueSend(peer, group int, msg wire.Message) {
 	q := r.sendQueue(peer)
 	if q == nil {
 		return
 	}
-	if ok, _ := q.TryPut(msg); !ok {
+	if ok, _ := q.TryPut(sendItem{int32(group), msg}); !ok {
 		r.droppedSends.Add(1)
 	}
 }
 
-// broadcast enqueues msg to every active peer.
-func (r *Replica) broadcast(msg wire.Message) {
+// broadcast enqueues group's msg to every active peer.
+func (r *Replica) broadcast(group int, msg wire.Message) {
 	for _, q := range *r.sendQs.Load() {
 		if q != nil {
-			if ok, _ := q.TryPut(msg); !ok {
+			if ok, _ := q.TryPut(sendItem{int32(group), msg}); !ok {
 				r.droppedSends.Add(1)
 			}
 		}

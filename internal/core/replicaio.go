@@ -142,17 +142,15 @@ func newReplicaIO(r *Replica) (*replicaIO, error) {
 		stop: make(chan struct{}),
 	}
 	t := r.topo.Load()
-	// A reconfigured cluster listens even when currently alone: a later
-	// AddReplica needs somewhere for the joiner to dial.
-	if t.N() > 1 || t.Epoch > 0 {
-		l, err := r.cfg.Network.Listen(t.Peers[r.cfg.ID])
-		if err != nil {
-			return nil, fmt.Errorf("core: peer listener: %w", err)
-		}
-		io.listener = l
-		io.wg.Add(1)
-		go io.runAcceptLoop()
+	// Listen even when alone: a later AddReplica needs somewhere for the
+	// joiner to dial.
+	l, err := r.cfg.Network.Listen(t.Peers[r.cfg.ID])
+	if err != nil {
+		return nil, fmt.Errorf("core: peer listener: %w", err)
 	}
+	io.listener = l
+	io.wg.Add(1)
+	go io.runAcceptLoop()
 	io.mu.Lock()
 	for p := range t.Peers {
 		if p != r.cfg.ID && t.Active(p) {
@@ -228,10 +226,10 @@ func (io *replicaIO) applyTopology(t *wire.Topology) {
 }
 
 // runAcceptLoop accepts connections from higher-ID peers; the first frame
-// must be a Hello identifying the dialer (always sent unwrapped — the
-// handshake predates any epoch agreement). Membership is checked against the
-// CURRENT topology: a joiner dialing a replica that has not yet adopted the
-// epoch that added it is refused and retries with backoff.
+// must be a Hello identifying the dialer (bare, without the peer header —
+// the handshake predates any epoch agreement). Membership is checked against
+// the CURRENT topology: a joiner dialing a replica that has not yet adopted
+// the epoch that added it is refused and retries with backoff.
 func (io *replicaIO) runAcceptLoop() {
 	defer io.wg.Done()
 	for {
@@ -264,9 +262,7 @@ func (io *replicaIO) runAcceptLoop() {
 				// redial is answered until it adopts the epoch excluding it
 				// and fail-stops); a joiner dialing before we adopted its
 				// epoch just sees a stale map and retries with backoff.
-				if t.Epoch > 0 {
-					_ = conn.WriteFrame(wire.Marshal(&wire.TopoUpdate{Topo: *t}))
-				}
+				_ = conn.WriteFrame(wire.Marshal(&wire.PeerMsg{Epoch: t.Epoch, Msg: &wire.TopoUpdate{Topo: *t}}))
 				_ = conn.Close()
 				return
 			}
@@ -343,13 +339,39 @@ func (io *replicaIO) answerStaleEpoch(link *peerLink, t *wire.Topology) {
 	if now-last < int64(20*time.Millisecond) || !link.lastTopo.CompareAndSwap(last, now) {
 		return
 	}
-	io.r.enqueueSend(link.peer, &wire.TopoUpdate{Topo: *t})
+	io.r.enqueueSend(link.peer, 0, &wire.TopoUpdate{Topo: *t})
+}
+
+// fenceVerdict is what the reader does with one decoded peer frame.
+type fenceVerdict uint8
+
+const (
+	fenceDispatch fenceVerdict = iota // handleDirect, else the group's Protocol thread
+	fenceTopo                         // TopoUpdate: adopt a newer epoch, answer an older one
+	fenceStale                        // wrong epoch: drop and answer with our topology
+	fenceDrop                         // out-of-range group: a misconfigured peer
+)
+
+// fence classifies a frame stamped (epoch, group) carrying msg at a replica
+// in epoch mine running groups ordering groups. A TopoUpdate crosses at any
+// epoch — it is what ends a mismatch; everything else must match the epoch
+// before its group is looked at.
+func fence(epoch int64, group int32, msg wire.Message, mine int64, groups int) fenceVerdict {
+	switch {
+	case msg.Type() == wire.TTopoUpdate:
+		return fenceTopo
+	case epoch != mine:
+		return fenceStale
+	case group < 0 || int(group) >= groups:
+		return fenceDrop
+	}
+	return fenceDispatch
 }
 
 // runReader is the ReplicaIORcv thread for one peer: read, deserialize,
-// touch the failure detector, and dispatch to the owning group's Protocol
-// thread (GroupMsg envelopes demultiplex the shared connection; bare
-// consensus messages belong to group 0, the pre-group wire format).
+// apply the epoch fence, touch the failure detector, and dispatch to the
+// owning group's Protocol thread (the frame header's group demultiplexes the
+// shared connection).
 //
 // Ownership: the frame buffer is pooled, the decoded message borrows from
 // it, and the dispatched event outlives this loop iteration — so the reader
@@ -372,29 +394,15 @@ func (io *replicaIO) runReader(peer int, link *peerLink, th *profiling.Thread) {
 			link.fail(gen)
 			continue
 		}
-		msg, err := wire.Unmarshal(frame)
+		epoch, group, msg, err := wire.UnmarshalPeer(frame)
 		if err != nil {
 			transport.RecycleFrame(frame, pooled)
 			continue
 		}
-		// Epoch fence: the outermost envelope is checked before the payload is
-		// looked at. A mismatched (or, past epoch 0, missing) stamp drops the
-		// frame and answers with our committed topology. TopoUpdate itself is
-		// always unwrapped — it must cross the fence to end the mismatch.
 		myTopo := io.r.topo.Load()
-		switch m := msg.(type) {
-		case *wire.EpochMsg:
-			if m.Epoch != myTopo.Epoch {
-				wire.Release(m) // inner message is dropped with it (GC reclaims)
-				transport.RecycleFrame(frame, pooled)
-				io.answerStaleEpoch(link, myTopo)
-				continue
-			}
-			msg = m.Msg
-			m.Msg = nil
-			wire.Release(m)
-		case *wire.TopoUpdate:
-			t := m.Topo // decoded with owned strings; safe past frame recycle
+		switch fence(epoch, group, msg, myTopo.Epoch, len(io.r.groups)) {
+		case fenceTopo:
+			t := msg.(*wire.TopoUpdate).Topo // decoded with owned strings; safe past frame recycle
 			transport.RecycleFrame(frame, pooled)
 			if t.Epoch > myTopo.Epoch {
 				io.r.adoptTopology(&t, "peer")
@@ -403,14 +411,15 @@ func (io *replicaIO) runReader(peer int, link *peerLink, th *profiling.Thread) {
 			}
 			io.r.detector.TouchRecv(peer)
 			continue
-		default:
-			if myTopo.Epoch > 0 {
-				// Unwrapped frame from an epoch-0 peer: same stale-epoch case.
-				wire.Release(msg)
-				transport.RecycleFrame(frame, pooled)
-				io.answerStaleEpoch(link, myTopo)
-				continue
-			}
+		case fenceStale:
+			wire.Release(msg)
+			transport.RecycleFrame(frame, pooled)
+			io.answerStaleEpoch(link, myTopo)
+			continue
+		case fenceDrop:
+			wire.Release(msg)
+			transport.RecycleFrame(frame, pooled)
+			continue
 		}
 		if io.handleDirect(peer, msg) {
 			// Lease/read-index/snapshot-chunk traffic is answered on the
@@ -419,17 +428,6 @@ func (io *replicaIO) runReader(peer int, link *peerLink, th *profiling.Thread) {
 			// puller before the frame recycles, so no Retain is needed).
 			transport.RecycleFrame(frame, pooled)
 			continue
-		}
-		group := 0
-		if gm, ok := msg.(*wire.GroupMsg); ok {
-			group = int(gm.Group)
-			msg = gm.Msg
-			wire.Release(gm) // envelope consumed; the wrapped message lives on
-			if group < 0 || group >= len(io.r.groups) {
-				wire.Release(msg)
-				transport.RecycleFrame(frame, pooled)
-				continue // unknown group: misconfigured peer; drop
-			}
 		}
 		wire.Retain(msg)
 		transport.RecycleFrame(frame, pooled)
@@ -460,7 +458,7 @@ func (io *replicaIO) handleDirect(peer int, msg wire.Message) bool {
 			resp.OK = true
 			resp.Index = r.readFrontier()
 		}
-		r.enqueueSend(peer, resp)
+		r.enqueueSend(peer, 0, resp)
 	case *wire.ReadIndexResp:
 		r.reads.deliverResp(m.Seq, m.Index, m.OK)
 	case *wire.SnapshotChunkReq:
@@ -485,7 +483,9 @@ func (io *replicaIO) handleDirect(peer int, msg wire.Message) bool {
 // zero-copy extension (transport.MessageWriter) each message is encoded
 // straight into the transport's write buffer; otherwise it is encoded into
 // a per-sender scratch buffer reused across messages — either way the hot
-// send path allocates nothing.
+// send path allocates nothing. Every frame carries the peer header: the
+// sender's current epoch and the item's group, stamped into one reused
+// envelope.
 func (io *replicaIO) runSender(peer int, link *peerLink, th *profiling.Thread) {
 	defer io.wg.Done()
 	th.Transition(profiling.StateBusy)
@@ -495,25 +495,14 @@ func (io *replicaIO) runSender(peer int, link *peerLink, th *profiling.Thread) {
 		return
 	}
 	var mc msgConn
-	// env is the per-sender reused epoch envelope: once the cluster has been
-	// reconfigured every outbound frame (except TopoUpdate, which must cross
-	// the fence raw) is stamped with the sender's epoch, at zero allocations.
-	var env wire.EpochMsg
-	wrap := func(m wire.Message) wire.Message {
-		if _, ok := m.(*wire.TopoUpdate); ok {
-			return m
-		}
-		epoch := io.r.topo.Load().Epoch
-		if epoch == 0 {
-			return m
-		}
-		env.Epoch = epoch
-		env.Msg = m
-		return &env
+	var env wire.PeerMsg
+	write := func(it sendItem) error {
+		env = wire.PeerMsg{Epoch: io.r.topo.Load().Epoch, Group: it.group, Msg: it.msg}
+		return mc.write(&env)
 	}
 	lastGen := -1
 	for {
-		msg, err := q.Take(th)
+		it, err := q.Take(th)
 		if err != nil {
 			return
 		}
@@ -529,7 +518,7 @@ func (io *replicaIO) runSender(peer int, link *peerLink, th *profiling.Thread) {
 			// (retransmission, heartbeats, catch-up and read-index retries),
 			// so drop it and let the fresh link start from live traffic
 			// instead of replaying a window the peer no longer wants.
-			dropped := uint64(1) // msg itself
+			dropped := uint64(1) // it itself
 			for {
 				if _, ok := q.TryTake(); !ok {
 					break
@@ -543,7 +532,7 @@ func (io *replicaIO) runSender(peer int, link *peerLink, th *profiling.Thread) {
 		}
 		lastGen = gen
 		mc.bind(conn)
-		werr := mc.write(wrap(msg))
+		werr := write(it)
 		if werr == nil && mc.buffered() {
 			// Drain the backlog into the write buffer before flushing.
 			for {
@@ -551,7 +540,7 @@ func (io *replicaIO) runSender(peer int, link *peerLink, th *profiling.Thread) {
 				if !ok {
 					break
 				}
-				if werr = mc.write(wrap(next)); werr != nil {
+				if werr = write(next); werr != nil {
 					break
 				}
 			}
@@ -625,9 +614,7 @@ func (m *msgConn) flush() error {
 func (io *replicaIO) close() {
 	io.once.Do(func() {
 		close(io.stop)
-		if io.listener != nil {
-			_ = io.listener.Close()
-		}
+		_ = io.listener.Close()
 		io.mu.Lock()
 		io.stopped = true
 		links := append([]*peerLink(nil), io.links...)

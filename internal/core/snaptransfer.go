@@ -91,7 +91,7 @@ func (r *Replica) serveSnapshotChunk(peer int, m *wire.SnapshotChunkReq) {
 	resp := wire.NewSnapshotChunk()
 	resp.Cut, resp.Offset = m.Cut, m.Offset
 	resp.Data, resp.Total, resp.OK = r.snapshots.readAt(m.Cut, m.Offset, maxBytes)
-	r.enqueueSend(peer, resp)
+	r.enqueueSend(peer, 0, resp)
 }
 
 // pullSnapshot fetches the advertised snapshot image chunk by chunk and
@@ -131,7 +131,7 @@ func (r *Replica) pullSnapshot(meta wire.SnapshotMeta) (*wire.Snapshot, error) {
 		}
 		req := wire.NewSnapshotChunkReq()
 		req.Cut, req.Offset, req.MaxBytes = meta.LastIncluded, stage.size, uint32(r.cfg.SnapshotChunkBytes)
-		r.enqueueSend(target, req)
+		r.enqueueSend(target, 0, req)
 	wait:
 		select {
 		case <-r.stop:
@@ -154,7 +154,7 @@ func (r *Replica) pullSnapshot(meta wire.SnapshotMeta) (*wire.Snapshot, error) {
 			}
 			crashPoint("transfer-chunk")
 			misses = 0
-		case <-time.After(r.cfg.CatchUpTimeout):
+		case <-time.After(catchUpTimeout):
 			misses++
 			rotate()
 		}

@@ -12,8 +12,8 @@ import (
 
 // Dynamic membership (reconfiguration through the log).
 //
-// The cluster shape is an epoch-stamped wire.Topology. Epoch 0 is the
-// boot-frozen legacy shape; every reconfiguration commits exactly one
+// The cluster shape is an epoch-stamped wire.Topology; epoch 0 is the one
+// the cluster booted with. Every reconfiguration commits exactly one
 // membership change (add or remove a single replica) as a distinguished
 // config command ordered like any other batch, bumping the epoch by one.
 // Because adjacent epochs differ by one replica, any quorum of epoch E and
@@ -324,7 +324,7 @@ func (r *Replica) adoptTopology(t *wire.Topology, src string) {
 // (terminating their sender goroutines). Callers hold topoMu.
 func (r *Replica) reshapeSendQueues(t *wire.Topology) {
 	old := *r.sendQs.Load()
-	qs := make([]*queue.Bounded[wire.Message], len(t.Peers))
+	qs := make([]*queue.Bounded[sendItem], len(t.Peers))
 	copy(qs, old)
 	for p := range qs {
 		if p == r.cfg.ID {
@@ -337,14 +337,14 @@ func (r *Replica) reshapeSendQueues(t *wire.Topology) {
 				// config command itself (it could be lagging), so tell it
 				// directly. Close drains remaining items through the sender,
 				// and peerIO keeps the link up briefly for the write.
-				_, _ = qs[p].TryPut(&wire.TopoUpdate{Topo: *t})
+				_, _ = qs[p].TryPut(sendItem{msg: &wire.TopoUpdate{Topo: *t}})
 				qs[p].Close()
 				qs[p] = nil
 			}
 			continue
 		}
 		if qs[p] == nil {
-			qs[p] = queue.NewBounded[wire.Message](fmt.Sprintf("SendQueue-%d", p), r.cfg.SendQueueCap)
+			qs[p] = queue.NewBounded[sendItem](fmt.Sprintf("SendQueue-%d", p), sendQueueCap)
 		}
 	}
 	r.sendQs.Store(&qs)
@@ -352,7 +352,7 @@ func (r *Replica) reshapeSendQueues(t *wire.Topology) {
 
 // sendQueue returns peer p's SendQueue under the current topology (nil for
 // self, removed peers, and out-of-range IDs). Lock-free.
-func (r *Replica) sendQueue(p int) *queue.Bounded[wire.Message] {
+func (r *Replica) sendQueue(p int) *queue.Bounded[sendItem] {
 	qs := *r.sendQs.Load()
 	if p < 0 || p >= len(qs) {
 		return nil

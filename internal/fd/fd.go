@@ -28,8 +28,11 @@ const (
 
 // Options configures a Detector.
 type Options struct {
-	// ID is this replica's ID; N the cluster size.
-	ID, N int
+	// ID is this replica's ID.
+	ID int
+	// Topology is the boot cluster shape: the peer set heartbeated and the
+	// view→leader map suspected. SetTopology replaces it.
+	Topology *wire.Topology
 	// HeartbeatInterval is the maximum idle time before the leader sends a
 	// heartbeat to a peer.
 	HeartbeatInterval time.Duration
@@ -59,36 +62,15 @@ type Options struct {
 	Thread *profiling.Thread
 }
 
-// membership is the swappable peer-set state: topology (nil for the legacy
-// boot-frozen shape) plus the per-peer timestamp arrays sized to it. A
-// reconfiguration builds a new membership (copying surviving timestamps)
-// and swaps the pointer; a Touch racing the swap can lose one update, which
-// at worst delays the next heartbeat/suspicion by an interval.
+// membership is the swappable peer-set state: the topology plus the
+// per-peer timestamp arrays sized to its ID space. A reconfiguration builds
+// a new membership (copying surviving timestamps) and swaps the pointer; a
+// Touch racing the swap can lose one update, which at worst delays the next
+// heartbeat/suspicion by an interval.
 type membership struct {
-	topo     *wire.Topology // nil = legacy fixed shape of size n
-	n        int            // len of the arrays (max replica ID + 1)
+	topo     *wire.Topology
 	lastRecv []atomic.Int64 // unix nanos of last message received from peer
 	lastSent []atomic.Int64 // unix nanos of last message sent to peer
-}
-
-// active reports whether peer p participates in the current shape.
-func (m *membership) active(p int) bool {
-	if m.topo != nil {
-		return m.topo.Active(p)
-	}
-	return p >= 0 && p < m.n
-}
-
-// leader maps a view to its leader under this shape.
-func (m *membership) leader(v wire.View) int {
-	if m.topo != nil {
-		return m.topo.Leader(v)
-	}
-	l := int(v) % m.n
-	if l < 0 {
-		l = -l // defensive; views are non-negative in practice
-	}
-	return l
 }
 
 // Detector is the failure-detector thread. Construct with New, stop with
@@ -107,11 +89,11 @@ type Detector struct {
 	wg   sync.WaitGroup
 }
 
-// newMembership builds arrays for n slots initialized to now.
-func newMembership(topo *wire.Topology, n int) *membership {
+// newMembership builds arrays for topo's ID space initialized to now.
+func newMembership(topo *wire.Topology) *membership {
+	n := len(topo.Peers)
 	m := &membership{
 		topo:     topo,
-		n:        n,
 		lastRecv: make([]atomic.Int64, n),
 		lastSent: make([]atomic.Int64, n),
 	}
@@ -133,22 +115,22 @@ func New(opts Options) *Detector {
 	}
 	d := &Detector{
 		opts:   opts,
-		lastHB: make([]int64, opts.N),
+		lastHB: make([]int64, len(opts.Topology.Peers)),
 		stop:   make(chan struct{}),
 	}
-	d.mem.Store(newMembership(nil, opts.N))
+	d.mem.Store(newMembership(opts.Topology))
 	d.suspected.Store(-1)
 	d.wg.Add(1)
 	go d.run()
 	return d
 }
 
-// SetTopology swaps the peer set to an epoch-stamped topology. Timestamps
+// SetTopology swaps the peer set to a newly committed topology. Timestamps
 // of surviving peers carry over; added peers start with a full timeout from
 // now. Safe to call concurrently with Touch*/UpdateView.
 func (d *Detector) SetTopology(topo *wire.Topology) {
 	old := d.mem.Load()
-	m := newMembership(topo, len(topo.Peers))
+	m := newMembership(topo)
 	for i := 0; i < len(old.lastRecv) && i < len(m.lastRecv); i++ {
 		m.lastRecv[i].Store(old.lastRecv[i].Load())
 		m.lastSent[i].Store(old.lastSent[i].Load())
@@ -181,7 +163,7 @@ func (d *Detector) UpdateView(v wire.View) {
 	// Give the new leader a full timeout from now.
 	now := time.Now().UnixNano()
 	m := d.mem.Load()
-	leader := m.leader(v)
+	leader := m.topo.Leader(v)
 	if leader >= 0 && leader < len(m.lastRecv) {
 		m.lastRecv[leader].Store(now)
 	}
@@ -227,7 +209,7 @@ func (d *Detector) run() {
 func (d *Detector) evaluate(now time.Time) {
 	view := wire.View(d.view.Load())
 	m := d.mem.Load()
-	leader := m.leader(view)
+	leader := m.topo.Leader(view)
 	if leader == d.opts.ID {
 		// Leader role: heartbeat any peer whose connection has been idle —
 		// or, under ForceHeartbeat, any peer not explicitly heartbeated for
@@ -238,7 +220,7 @@ func (d *Detector) evaluate(now time.Time) {
 		}
 		cutoff := now.Add(-d.opts.HeartbeatInterval).UnixNano()
 		for p := range m.lastSent {
-			if p == d.opts.ID || !m.active(p) {
+			if p == d.opts.ID || !m.topo.Active(p) {
 				continue
 			}
 			due := m.lastSent[p].Load() <= cutoff

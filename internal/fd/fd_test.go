@@ -13,7 +13,7 @@ func TestLeaderSendsHeartbeatsWhenIdle(t *testing.T) {
 	var mu sync.Mutex
 	sent := make(map[int]int)
 	d := New(Options{
-		ID: 0, N: 3,
+		ID: 0, Topology: holeFree(3),
 		HeartbeatInterval: 10 * time.Millisecond,
 		SuspectTimeout:    time.Hour,
 		SendHeartbeat: func(peer int) {
@@ -40,7 +40,7 @@ func TestLeaderSendsHeartbeatsWhenIdle(t *testing.T) {
 func TestLeaderSkipsBusyConnections(t *testing.T) {
 	var count atomic.Int32
 	d := New(Options{
-		ID: 0, N: 2,
+		ID: 0, Topology: holeFree(2),
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectTimeout:    time.Hour,
 		SendHeartbeat:     func(int) { count.Add(1) },
@@ -76,7 +76,7 @@ func TestFollowerSuspectsSilentLeader(t *testing.T) {
 	var suspected atomic.Int32
 	suspected.Store(-1)
 	d := New(Options{
-		ID: 1, N: 3,
+		ID: 1, Topology: holeFree(3),
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectTimeout:    30 * time.Millisecond,
 		Suspect:           func(v wire.View) { suspected.Store(int32(v)) },
@@ -95,7 +95,7 @@ func TestFollowerSuspectsSilentLeader(t *testing.T) {
 func TestFollowerDoesNotSuspectLiveLeader(t *testing.T) {
 	var count atomic.Int32
 	d := New(Options{
-		ID: 1, N: 3,
+		ID: 1, Topology: holeFree(3),
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectTimeout:    30 * time.Millisecond,
 		Suspect:           func(wire.View) { count.Add(1) },
@@ -129,7 +129,7 @@ func TestFollowerDoesNotSuspectLiveLeader(t *testing.T) {
 func TestSuspectOncePerView(t *testing.T) {
 	var count atomic.Int32
 	d := New(Options{
-		ID: 1, N: 3,
+		ID: 1, Topology: holeFree(3),
 		HeartbeatInterval: 2 * time.Millisecond,
 		SuspectTimeout:    10 * time.Millisecond,
 		Suspect:           func(wire.View) { count.Add(1) },
@@ -157,7 +157,7 @@ func TestSuspectOncePerView(t *testing.T) {
 func TestUpdateViewGrantsGracePeriod(t *testing.T) {
 	var count atomic.Int32
 	d := New(Options{
-		ID: 1, N: 3,
+		ID: 1, Topology: holeFree(3),
 		HeartbeatInterval: 2 * time.Millisecond,
 		SuspectTimeout:    50 * time.Millisecond,
 		Suspect:           func(wire.View) { count.Add(1) },
@@ -173,10 +173,43 @@ func TestUpdateViewGrantsGracePeriod(t *testing.T) {
 }
 
 func TestTouchOutOfRangeIsSafe(t *testing.T) {
-	d := New(Options{ID: 0, N: 2, SuspectTimeout: time.Hour})
+	d := New(Options{ID: 0, Topology: holeFree(2), SuspectTimeout: time.Hour})
 	defer d.Stop()
 	d.TouchRecv(-1)
 	d.TouchRecv(99)
 	d.TouchSent(-1)
 	d.TouchSent(99)
+}
+
+// holeFree returns an epoch-0 topology of n replicas.
+func holeFree(n int) *wire.Topology {
+	t := &wire.Topology{Peers: make([]string, n)}
+	for i := range t.Peers {
+		t.Peers[i] = "r" + string(rune('0'+i))
+	}
+	return t
+}
+
+func TestLeaderSkipsRemovedPeers(t *testing.T) {
+	var mu sync.Mutex
+	sent := make(map[int]int)
+	d := New(Options{
+		ID:                0,
+		Topology:          &wire.Topology{Epoch: 1, Peers: []string{"a", "", "c"}},
+		HeartbeatInterval: 5 * time.Millisecond,
+		SuspectTimeout:    time.Hour,
+		SendHeartbeat: func(peer int) {
+			mu.Lock()
+			sent[peer]++
+			mu.Unlock()
+		},
+	})
+	defer d.Stop()
+	d.UpdateView(0)
+	time.Sleep(40 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if sent[1] != 0 || sent[2] == 0 {
+		t.Errorf("heartbeats = %v, want some to 2 and none to the removed 1", sent)
+	}
 }

@@ -2,10 +2,11 @@
 // Protocol thread executes (Sec. III-A and V-C2), including the batching and
 // pipelining optimizations the paper assumes throughout ([12]):
 //
-//   - Views number leadership epochs; the leader of view v is replica
-//     v mod n. A replica that suspects the leader advances to the next view
-//     and, if it is that view's leader, runs Phase 1 over the unstable log
-//     suffix (one Prepare for all instances, as in JPaxos).
+//   - Views number leadership epochs; the leader of view v is the
+//     (v mod n)-th active replica of the topology. A replica that suspects
+//     the leader advances to the next view and, if it is that view's leader,
+//     runs Phase 1 over the unstable log suffix (one Prepare for all
+//     instances, as in JPaxos).
 //   - Phase 2 runs per instance; each instance carries one batch. Up to
 //     `window` instances (the paper's WND parameter) are in flight at once.
 //   - Followers send Phase 2b (Accept) only to the leader. They learn
@@ -177,15 +178,13 @@ type openInstance struct {
 // concurrent use: it is owned by its group's Protocol thread.
 type Node struct {
 	id     int
-	n      int
 	window int
 	group  int // ordering group this node runs
 	groups int // total ordering groups in the replica
 
-	// topo, when non-nil, is the epoch-stamped cluster topology: quorum
-	// size and the view→leader map read it instead of the boot-frozen n.
-	// Installed by SetTopology on the owner thread when a reconfiguration
-	// command is applied; nil means the legacy fixed-shape cluster.
+	// topo is the epoch-stamped cluster topology: quorum size and the
+	// view→leader map read it. Replaced by SetTopology on the owner thread
+	// when a reconfiguration command is applied.
 	topo *wire.Topology
 
 	log *storage.Log
@@ -225,9 +224,10 @@ type Node struct {
 
 // Options configures a Node.
 type Options struct {
-	// ID is this replica's ID in [0, N).
+	// ID is this replica's ID: an active member of Topology, or in [0, N).
 	ID int
-	// N is the cluster size.
+	// N is the cluster size, read only when Topology is nil: the node then
+	// runs in the hole-free epoch-0 topology of N replicas.
 	N int
 	// Window is the maximum number of concurrently executing instances
 	// (the paper's WND); defaults to 10, the paper's baseline.
@@ -259,9 +259,9 @@ type Options struct {
 	// View is the initial (recovered) view — the acceptor's durable
 	// promise. Zero for a fresh node.
 	View wire.View
-	// Topology, when non-nil, is the epoch-stamped cluster topology this
-	// node boots in (recovered from WAL/snapshot or the seed config).
-	// Quorum size and the view→leader map then read it instead of N.
+	// Topology is the epoch-stamped cluster topology this node boots in
+	// (recovered from WAL/snapshot or the seed config): quorum size and the
+	// view→leader map read it.
 	Topology *wire.Topology
 	// DeferSelfVote is for a caller that journals the log and releases votes
 	// only once they are durable (group commit). The leader then does not
@@ -282,17 +282,17 @@ func NewNode(opts Options) *Node {
 	if opts.Window <= 0 {
 		opts.Window = 10
 	}
-	if opts.Topology != nil {
-		if !opts.Topology.Active(opts.ID) {
-			panic(fmt.Sprintf("paxos: ID %d not active in topology epoch %d", opts.ID, opts.Topology.Epoch))
-		}
-	} else {
+	if opts.Topology == nil {
 		if opts.N <= 0 {
 			panic("paxos: N must be positive")
 		}
-		if opts.ID < 0 || opts.ID >= opts.N {
-			panic(fmt.Sprintf("paxos: ID %d out of range [0,%d)", opts.ID, opts.N))
+		opts.Topology = &wire.Topology{Peers: make([]string, opts.N)}
+		for i := range opts.Topology.Peers {
+			opts.Topology.Peers[i] = fmt.Sprint(i)
 		}
+	}
+	if !opts.Topology.Active(opts.ID) {
+		panic(fmt.Sprintf("paxos: ID %d not active in topology epoch %d", opts.ID, opts.Topology.Epoch))
 	}
 	if opts.Groups <= 0 {
 		opts.Groups = 1
@@ -310,13 +310,8 @@ func NewNode(opts Options) *Node {
 	if opts.CatchUpMaxBytes <= 0 {
 		opts.CatchUpMaxBytes = DefaultCatchUpMaxBytes
 	}
-	n := opts.N
-	if opts.Topology != nil {
-		n = opts.Topology.N()
-	}
 	return &Node{
 		id:     opts.ID,
-		n:      n,
 		window: opts.Window,
 		group:  opts.Group,
 		groups: opts.Groups,
@@ -344,8 +339,8 @@ func (nd *Node) ID() int { return nd.id }
 // Group returns the ordering group this node runs.
 func (nd *Node) Group() int { return nd.group }
 
-// N returns the cluster size.
-func (nd *Node) N() int { return nd.n }
+// N returns the number of active replicas.
+func (nd *Node) N() int { return nd.topo.N() }
 
 // View returns the current view.
 func (nd *Node) View() wire.View { return nd.view }
@@ -353,21 +348,10 @@ func (nd *Node) View() wire.View { return nd.view }
 // Leader returns the leader of the current view.
 func (nd *Node) Leader() int { return nd.leaderOf(nd.view) }
 
-// LeaderOf returns the leader of view v in an n-replica cluster (the legacy
-// fixed-shape map; topology-aware nodes use Topology.Leader).
-func LeaderOf(v wire.View, n int) int { return int(v) % n }
+// leaderOf maps a view to its leader under the installed topology.
+func (nd *Node) leaderOf(v wire.View) int { return nd.topo.Leader(v) }
 
-// leaderOf maps a view to its leader under the installed topology, falling
-// back to the classic v mod n map for legacy fixed-shape clusters.
-func (nd *Node) leaderOf(v wire.View) int {
-	if nd.topo != nil {
-		return nd.topo.Leader(v)
-	}
-	return LeaderOf(v, nd.n)
-}
-
-// Topology returns the installed epoch-stamped topology (nil for a legacy
-// fixed-shape node).
+// Topology returns the installed epoch-stamped topology.
 func (nd *Node) Topology() *wire.Topology { return nd.topo }
 
 // SetTopology installs a new epoch-stamped topology, replacing the quorum
@@ -386,7 +370,6 @@ func (nd *Node) Topology() *wire.Topology { return nd.topo }
 func (nd *Node) SetTopology(t *wire.Topology) Effects {
 	active := nd.leading || nd.preparing
 	nd.topo = t
-	nd.n = t.N()
 	var e Effects
 	v := t.BaseView
 	if nd.view >= v {
@@ -456,12 +439,7 @@ func (nd *Node) SelfVotesPending() int {
 func (nd *Node) WindowOpen() bool { return nd.leading && len(nd.open) < nd.window }
 
 // majority returns the quorum size under the current topology.
-func (nd *Node) majority() int {
-	if nd.topo != nil {
-		return nd.topo.Quorum()
-	}
-	return nd.n/2 + 1
-}
+func (nd *Node) majority() int { return nd.topo.Quorum() }
 
 // Start bootstraps the protocol: the decided prefix of a recovered log is
 // re-emitted (so the caller can rebuild service state), and the leader of
@@ -561,9 +539,9 @@ func (nd *Node) becomeCandidate(v wire.View, e *Effects) {
 }
 
 // sendToPeers broadcasts msg to all other replicas, retransmitted under key.
-// With n == 1 there are no peers and nothing is sent.
+// Alone in the topology there are no peers and nothing is sent.
 func (nd *Node) sendToPeers(e *Effects, msg wire.Message, key RetransKey, vote bool) {
-	if nd.n == 1 {
+	if nd.topo.N() == 1 {
 		return
 	}
 	e.Sends = append(e.Sends, SendEffect{To: Broadcast, Msg: msg, Retrans: &key, Vote: vote})

@@ -35,7 +35,9 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 }
 
-func TestLeaderOf(t *testing.T) {
+// TestNodeLeaderFromN pins the topology a node built from {ID, N} runs in:
+// hole-free, so Topology.Leader is the classic v mod n map.
+func TestNodeLeaderFromN(t *testing.T) {
 	tests := []struct {
 		v    wire.View
 		n    int
@@ -44,8 +46,12 @@ func TestLeaderOf(t *testing.T) {
 		{0, 3, 0}, {1, 3, 1}, {2, 3, 2}, {3, 3, 0}, {7, 5, 2},
 	}
 	for _, tt := range tests {
-		if got := LeaderOf(tt.v, tt.n); got != tt.want {
-			t.Errorf("LeaderOf(%d, %d) = %d, want %d", tt.v, tt.n, got, tt.want)
+		topo := NewNode(Options{ID: 0, N: tt.n}).Topology()
+		if topo.Epoch != 0 || topo.N() != tt.n || topo.Quorum() != tt.n/2+1 {
+			t.Fatalf("N=%d: topology %+v is not hole-free epoch 0", tt.n, topo)
+		}
+		if got := topo.Leader(tt.v); got != tt.want {
+			t.Errorf("Leader(%d) at n=%d = %d, want %d", tt.v, tt.n, got, tt.want)
 		}
 	}
 }
@@ -807,7 +813,7 @@ func (h *harness) apply(node int, e Effects) {
 	if e.CatchUp != nil {
 		h.catchGen[node] = e.CatchUpGen
 		// Ask the node's current leader.
-		to := LeaderOf(h.nodes[node].View(), h.n)
+		to := h.nodes[node].Leader()
 		if to != node {
 			h.inflight = append(h.inflight, envelope{from: node, to: to, msg: e.CatchUp})
 		}

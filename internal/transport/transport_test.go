@@ -528,7 +528,7 @@ func TestMessageWriterMatchesMarshal(t *testing.T) {
 	msgs := []wire.Message{
 		&wire.Accept{View: 3, ID: 9},
 		&wire.Propose{View: 3, ID: 9, DecidedUpTo: 8, Value: bytes.Repeat([]byte{0x5A}, 1300)},
-		&wire.GroupMsg{Group: 2, Msg: &wire.Propose{View: 1, ID: 4, Value: []byte("grouped")}},
+		&wire.PeerMsg{Epoch: 3, Group: 2, Msg: &wire.Propose{View: 1, ID: 4, Value: []byte("grouped")}},
 		// Larger than the 64 KiB bufio buffer: exercises the scratch path.
 		&wire.Propose{View: 9, ID: 1, Value: bytes.Repeat([]byte{0xC3}, 200<<10)},
 	}

@@ -14,7 +14,6 @@ const (
 
 func TestEncodeHotPathAllocs(t *testing.T) {
 	propose := &Propose{View: 3, ID: 42, DecidedUpTo: 41, Value: make([]byte, 1300)}
-	grouped := &GroupMsg{Group: 2, Msg: propose}
 	reqs := []*ClientRequest{
 		{ClientID: 1, Seq: 1, Payload: make([]byte, 128)},
 		{ClientID: 2, Seq: 7, Payload: make([]byte, 128)},
@@ -25,14 +24,13 @@ func TestEncodeHotPathAllocs(t *testing.T) {
 	chunk := NewSnapshotChunk()
 	chunk.Cut, chunk.Total, chunk.OK = 42, uint64(len(image)), true
 	chunk.Data = image[:32<<10]
-	// The post-reconfiguration steady state: every frame rides an epoch
-	// envelope, reused by the sender exactly like this.
-	stamped := &EpochMsg{Epoch: 3, Msg: grouped}
+	// Every peer frame rides a header envelope, reused by the sender
+	// exactly like this.
+	peer := &PeerMsg{Epoch: 3, Group: 2, Msg: propose}
 	buf := make([]byte, 0, 40<<10)
 	for name, fn := range map[string]func(){
 		"AppendMessage/Propose":       func() { buf = AppendMessage(buf[:0], propose) },
-		"AppendMessage/GroupMsg":      func() { buf = AppendMessage(buf[:0], grouped) },
-		"AppendMessage/EpochMsg":      func() { buf = AppendMessage(buf[:0], stamped) },
+		"AppendMessage/PeerMsg":       func() { buf = AppendMessage(buf[:0], peer) },
 		"AppendMessage/SnapshotChunk": func() { buf = AppendMessage(buf[:0], chunk) },
 		"AppendBatch":                 func() { buf = AppendBatch(buf[:0], reqs) },
 	} {
@@ -44,9 +42,7 @@ func TestEncodeHotPathAllocs(t *testing.T) {
 
 func TestDecodeHotPathAllocs(t *testing.T) {
 	propose := Marshal(&Propose{View: 3, ID: 42, DecidedUpTo: 41, Value: make([]byte, 1300)})
-	grouped := Marshal(&GroupMsg{Group: 2, Msg: &Propose{View: 3, ID: 42, Value: make([]byte, 1300)}})
-	stamped := Marshal(&EpochMsg{Epoch: 3,
-		Msg: &GroupMsg{Group: 2, Msg: &Propose{View: 3, ID: 42, Value: make([]byte, 1300)}}})
+	peer := Marshal(&PeerMsg{Epoch: 3, Group: 2, Msg: &Propose{View: 3, ID: 42, Value: make([]byte, 1300)}})
 	accept := Marshal(&Accept{View: 3, ID: 42})
 	chunkReq := Marshal(&SnapshotChunkReq{Cut: 42, Offset: 4096, MaxBytes: 32 << 10})
 	chunkResp := Marshal(&SnapshotChunk{Cut: 42, Offset: 4096, Total: 1 << 20, OK: true,
@@ -65,26 +61,14 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 			}
 			Release(m)
 		},
-		// The multi-group envelope decodes inline: no nested copy.
-		"Unmarshal/GroupMsg": func() {
-			m, err := Unmarshal(grouped)
+		// The reader's steady state: header, then the message inline — no
+		// envelope struct, no nested copy.
+		"UnmarshalPeer/Propose": func() {
+			_, _, m, err := UnmarshalPeer(peer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			Release(m.(*GroupMsg).Msg)
 			Release(m)
-		},
-		// The epoch fence's steady state: unwrap, match, dispatch inner.
-		"Unmarshal/EpochMsg": func() {
-			m, err := Unmarshal(stamped)
-			if err != nil {
-				t.Fatal(err)
-			}
-			em := m.(*EpochMsg)
-			gm := em.Msg.(*GroupMsg)
-			Release(gm.Msg)
-			Release(gm)
-			Release(em)
 		},
 		// The leader's hottest inbound message.
 		"Unmarshal/Accept": func() {

@@ -3,13 +3,21 @@
 //
 // The protocol is the MultiPaxos variant the paper builds on (Sec. III-A with
 // the batching and pipelining optimizations of [12]): views number leadership
-// epochs (the leader of view v is replica v mod n), Phase 1 runs once per
+// epochs (the leader of view v is the (v mod n)-th active replica of the
+// topology, see Topology.Leader), Phase 1 runs once per
 // view over the unstable log suffix, and Phase 2 runs per instance, each
 // instance carrying one *batch* of client requests. Followers send Phase 2b
 // acknowledgements only to the leader (matching the packet accounting of
 // Table III); they learn decisions through the DecidedUpTo watermark
 // piggybacked on Propose and Heartbeat messages, and fetch anything they
 // missed with the catch-up messages.
+//
+// # Frames
+//
+// Client frames and the Hello that opens a replica connection are bare: the
+// type tag, then the body. Every later replica↔replica frame carries one
+// fixed PeerMsg header — tag, sender epoch, ordering group — followed by the
+// bare message, and is decoded with UnmarshalPeer. Headers never nest.
 //
 // # Buffer ownership (the zero-copy contract)
 //
@@ -46,8 +54,7 @@ import (
 	"sync"
 )
 
-// View numbers leadership epochs. The leader of view v in an n-replica
-// cluster is replica v mod n.
+// View numbers leadership epochs. Topology.Leader maps a view to its leader.
 type View int32
 
 // InstanceID identifies one consensus instance (one slot of the replicated
@@ -69,14 +76,14 @@ const (
 	TCatchUpResp
 	TClientRequest
 	TClientReply
-	TGroupMsg
+	TPeerMsg
 	TLeaseAck
 	TReadIndexQuery
 	TReadIndexResp
 	TClientRead
 	TSnapshotChunkReq
 	TSnapshotChunk
-	TEpochMsg
+	_ // retired tag value; kept so the tags after it keep theirs
 	TTopoUpdate
 	TReconfig
 )
@@ -104,8 +111,8 @@ func (t MsgType) String() string {
 		return "ClientRequest"
 	case TClientReply:
 		return "ClientReply"
-	case TGroupMsg:
-		return "GroupMsg"
+	case TPeerMsg:
+		return "PeerMsg"
 	case TLeaseAck:
 		return "LeaseAck"
 	case TReadIndexQuery:
@@ -118,8 +125,6 @@ func (t MsgType) String() string {
 		return "SnapshotChunkReq"
 	case TSnapshotChunk:
 		return "SnapshotChunk"
-	case TEpochMsg:
-		return "EpochMsg"
 	case TTopoUpdate:
 		return "TopoUpdate"
 	case TReconfig:
@@ -202,9 +207,7 @@ func (*Accept) Type() MsgType { return TAccept }
 // When leader leases are enabled, group-0 heartbeats double as lease grants:
 // LeaseMS is the lease duration in milliseconds and LeaseSeq numbers the
 // grant round the follower acknowledges with a LeaseAck. Both fields are
-// appended to the encoding only when LeaseMS is nonzero, so lease-less
-// heartbeats stay byte-identical to the legacy wire format and old peers
-// decode them unchanged.
+// always encoded; LeaseMS 0 means the heartbeat grants no lease.
 type Heartbeat struct {
 	View        View
 	DecidedUpTo InstanceID
@@ -677,31 +680,22 @@ type ClientReply struct {
 // Type implements Message.
 func (*ClientReply) Type() MsgType { return TClientReply }
 
-// GroupMsg multiplexes multi-group consensus traffic over the single
-// per-peer connection: it wraps a consensus message with the ordering group
-// it belongs to. Group-0 messages are always sent unwrapped, so a cluster
-// configured with one group speaks exactly the pre-group wire format.
-type GroupMsg struct {
+// PeerMsg is the fixed header of every replica↔replica frame after the
+// Hello handshake: the sender's topology epoch and the ordering group Msg
+// belongs to (0 for group-agnostic traffic), followed by Msg itself, which
+// runs to the end of the frame. The reader checks the epoch before Msg is
+// looked at — a mismatch drops the frame and answers with a TopoUpdate — and
+// routes Msg by group. A PeerMsg never wraps another. Senders reuse one
+// envelope; UnmarshalPeer returns Msg directly, so the envelope is never
+// pooled, released or retained.
+type PeerMsg struct {
+	Epoch int64
 	Group int32
 	Msg   Message
 }
 
 // Type implements Message.
-func (*GroupMsg) Type() MsgType { return TGroupMsg }
-
-// EpochMsg stamps a peer frame with the sender's topology epoch. It is the
-// OUTERMOST envelope (it may wrap a GroupMsg; nothing wraps it): the reader
-// compares the stamp against its own epoch before the inner message is
-// looked at, and a mismatch drops the frame and answers with a TopoUpdate.
-// Epoch-0 clusters (never reconfigured) send every frame unwrapped, so the
-// pre-topology wire format is preserved byte for byte.
-type EpochMsg struct {
-	Epoch int64
-	Msg   Message
-}
-
-// Type implements Message.
-func (*EpochMsg) Type() MsgType { return TEpochMsg }
+func (*PeerMsg) Type() MsgType { return TPeerMsg }
 
 // Interface compliance checks.
 var (
@@ -715,14 +709,13 @@ var (
 	_ Message = (*CatchUpResp)(nil)
 	_ Message = (*ClientRequest)(nil)
 	_ Message = (*ClientReply)(nil)
-	_ Message = (*GroupMsg)(nil)
+	_ Message = (*PeerMsg)(nil)
 	_ Message = (*LeaseAck)(nil)
 	_ Message = (*ReadIndexQuery)(nil)
 	_ Message = (*ReadIndexResp)(nil)
 	_ Message = (*ClientRead)(nil)
 	_ Message = (*SnapshotChunkReq)(nil)
 	_ Message = (*SnapshotChunk)(nil)
-	_ Message = (*EpochMsg)(nil)
 	_ Message = (*TopoUpdate)(nil)
 	_ Message = (*Reconfig)(nil)
 )
@@ -754,16 +747,12 @@ var (
 	heartbeatPool = sync.Pool{New: func() any { return new(Heartbeat) }}
 	requestPool   = sync.Pool{New: func() any { return new(ClientRequest) }}
 	replyPool     = sync.Pool{New: func() any { return new(ClientReply) }}
-	groupMsgPool  = sync.Pool{New: func() any { return new(GroupMsg) }}
 	readPool      = sync.Pool{New: func() any { return new(ClientRead) }}
 	// Chunk transfer messages are pooled too: a big-state pull streams
 	// thousands of them, and the responder encodes each from a borrowed
 	// image slice — steady-state transfer must not allocate per frame.
 	chunkReqPool = sync.Pool{New: func() any { return new(SnapshotChunkReq) }}
 	chunkPool    = sync.Pool{New: func() any { return new(SnapshotChunk) }}
-	// EpochMsg envelopes wrap every peer frame of a reconfigured cluster —
-	// pooled so the epoch stamp adds zero steady-state allocations.
-	epochMsgPool = sync.Pool{New: func() any { return new(EpochMsg) }}
 )
 
 // NewClientReply returns a pooled, zeroed ClientReply for callers that build
@@ -778,8 +767,7 @@ func NewClientReply() *ClientReply {
 // the message's sole owner and must not touch it afterwards. Byte fields are
 // NOT recycled — they may be shared with a log entry or reply cache — so
 // Release only severs the struct's references. Non-pooled message types are
-// ignored (plain garbage collection reclaims them). Releasing a GroupMsg
-// envelope does not release the wrapped message.
+// ignored (plain garbage collection reclaims them).
 func Release(m Message) {
 	switch v := m.(type) {
 	case *Propose:
@@ -797,9 +785,6 @@ func Release(m Message) {
 	case *ClientReply:
 		*v = ClientReply{}
 		replyPool.Put(v)
-	case *GroupMsg:
-		*v = GroupMsg{}
-		groupMsgPool.Put(v)
 	case *ClientRead:
 		*v = ClientRead{}
 		readPool.Put(v)
@@ -809,9 +794,6 @@ func Release(m Message) {
 	case *SnapshotChunk:
 		*v = SnapshotChunk{}
 		chunkPool.Put(v)
-	case *EpochMsg:
-		*v = EpochMsg{}
-		epochMsgPool.Put(v)
 	}
 }
 
@@ -844,8 +826,7 @@ func ownedCopy(b []byte) []byte {
 // Retain copies every borrowed byte field of m into fresh memory, in place.
 // After Retain the message no longer aliases the frame it was decoded from
 // and survives the frame being recycled or rewritten. Messages without byte
-// fields (Accept, Heartbeat, ...) are no-ops; retaining a GroupMsg retains
-// the wrapped message.
+// fields (Accept, Heartbeat, ...) are no-ops.
 func Retain(m Message) {
 	switch v := m.(type) {
 	case *Propose:
@@ -866,10 +847,6 @@ func Retain(m Message) {
 		v.Payload = ownedCopy(v.Payload)
 	case *ClientRead:
 		v.Payload = ownedCopy(v.Payload)
-	case *GroupMsg:
-		Retain(v.Msg)
-	case *EpochMsg:
-		Retain(v.Msg)
 	}
 }
 
@@ -916,10 +893,7 @@ func Size(m Message) int {
 	case *Accept:
 		return 1 + 4 + 8
 	case *Heartbeat:
-		if v.LeaseMS != 0 {
-			return 1 + 4 + 8 + 4 + 8
-		}
-		return 1 + 4 + 8
+		return 1 + 4 + 8 + 4 + 8
 	case *LeaseAck:
 		return 1 + 4 + 8
 	case *ReadIndexQuery:
@@ -948,16 +922,8 @@ func Size(m Message) int {
 		return 1 + 8 + 8 + 4 + len(v.Payload)
 	case *ClientReply:
 		return 1 + 8 + 8 + 1 + 4 + 4 + len(v.Payload)
-	case *GroupMsg:
-		if _, nested := v.Msg.(*GroupMsg); nested {
-			panic("wire: Size of nested GroupMsg")
-		}
-		return 1 + 4 + 4 + Size(v.Msg)
-	case *EpochMsg:
-		if _, nested := v.Msg.(*EpochMsg); nested {
-			panic("wire: Size of nested EpochMsg")
-		}
-		return 1 + 8 + 4 + Size(v.Msg)
+	case *PeerMsg:
+		return peerHeaderSize + Size(v.Msg)
 	case *TopoUpdate:
 		return 1 + TopologySize(&v.Topo)
 	case *Reconfig:
@@ -969,9 +935,7 @@ func Size(m Message) int {
 
 // AppendMessage appends m's self-describing encoding (type tag + body) to
 // dst and returns the extended slice. With dst pre-sized (Size) the encode
-// is allocation-free; a GroupMsg envelope is encoded inline — no nested
-// marshal, no intermediate copy — and stays byte-identical to the legacy
-// nested encoding.
+// is allocation-free; a PeerMsg's message is encoded inline after its header.
 func AppendMessage(dst []byte, m Message) []byte {
 	a := appender{b: dst}
 	a.u8(uint8(m.Type()))
@@ -1001,12 +965,8 @@ func AppendMessage(dst []byte, m Message) []byte {
 	case *Heartbeat:
 		a.i32(int32(v.View))
 		a.i64(int64(v.DecidedUpTo))
-		// Lease grant fields are appended only when present, keeping
-		// lease-less heartbeats byte-identical to the legacy format.
-		if v.LeaseMS != 0 {
-			a.u32(v.LeaseMS)
-			a.u64(v.LeaseSeq)
-		}
+		a.u32(v.LeaseMS)
+		a.u64(v.LeaseSeq)
 	case *LeaseAck:
 		a.i32(int32(v.View))
 		a.u64(v.Seq)
@@ -1056,19 +1016,9 @@ func AppendMessage(dst []byte, m Message) []byte {
 		a.bool(v.OK)
 		a.i32(v.Redirect)
 		a.bytes(v.Payload)
-	case *GroupMsg:
-		if _, nested := v.Msg.(*GroupMsg); nested {
-			panic("wire: AppendMessage of nested GroupMsg")
-		}
-		a.i32(v.Group)
-		a.u32(uint32(Size(v.Msg))) // inner length prefix, as the nested encoding wrote
-		a.b = AppendMessage(a.b, v.Msg)
-	case *EpochMsg:
-		if _, nested := v.Msg.(*EpochMsg); nested {
-			panic("wire: AppendMessage of nested EpochMsg")
-		}
+	case *PeerMsg:
 		a.i64(v.Epoch)
-		a.u32(uint32(Size(v.Msg))) // inner length prefix, mirroring GroupMsg
+		a.i32(v.Group)
 		a.b = AppendMessage(a.b, v.Msg)
 	case *TopoUpdate:
 		a.b = AppendTopology(a.b, &v.Topo)
@@ -1150,7 +1100,9 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-// Unmarshal decodes a message produced by Marshal/AppendMessage.
+// Unmarshal decodes a bare message produced by Marshal/AppendMessage: a
+// client frame or a Hello. Peer frames carry a PeerMsg header and go through
+// UnmarshalPeer; Unmarshal rejects them.
 //
 // Ownership: the returned message BORROWS from b — its []byte fields alias
 // the input — and its struct may come from an internal pool. It is valid
@@ -1158,7 +1110,33 @@ func (r *reader) bytes() []byte {
 // and callers that fully consume it may hand the struct back with Release.
 func Unmarshal(b []byte) (Message, error) {
 	r := reader{b: b}
-	m, err := decodeMessage(&r, true, true)
+	return r.message()
+}
+
+// peerHeaderSize is the encoded size of a PeerMsg header: tag, epoch, group.
+const peerHeaderSize = 1 + 8 + 4
+
+// UnmarshalPeer decodes a peer frame: the PeerMsg header and the message
+// after it, which is returned directly under Unmarshal's ownership rules. A
+// frame without the header, a nested header and trailing bytes are errors.
+func UnmarshalPeer(b []byte) (epoch int64, group int32, m Message, err error) {
+	r := reader{b: b}
+	if t := MsgType(r.u8()); r.err == nil && t != TPeerMsg {
+		return 0, 0, nil, fmt.Errorf("%w: %v frame without a peer header", ErrUnknownType, t)
+	}
+	epoch, group = r.i64(), r.i32()
+	if r.err != nil {
+		return 0, 0, nil, r.err
+	}
+	if m, err = r.message(); err != nil {
+		return 0, 0, nil, err
+	}
+	return epoch, group, m, nil
+}
+
+// message decodes one bare message that must fill the rest of r.
+func (r *reader) message() (Message, error) {
+	m, err := decodeMessage(r)
 	if err != nil {
 		return nil, err
 	}
@@ -1169,10 +1147,9 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// decodeMessage parses one message from r. allowGroup permits a GroupMsg
-// envelope and allowEpoch an EpochMsg one (EpochMsg is outermost and may
-// wrap a GroupMsg; neither envelope nests with itself).
-func decodeMessage(r *reader, allowGroup, allowEpoch bool) (Message, error) {
+// decodeMessage parses one bare message from r. A PeerMsg tag is unknown
+// here, which is what rejects a nested header.
+func decodeMessage(r *reader) (Message, error) {
 	t := MsgType(r.u8())
 	if r.err != nil {
 		return nil, r.err
@@ -1216,13 +1193,8 @@ func decodeMessage(r *reader, allowGroup, allowEpoch bool) (Message, error) {
 		v := heartbeatPool.Get().(*Heartbeat)
 		v.View = View(r.i32())
 		v.DecidedUpTo = InstanceID(r.i64())
-		// Trailing lease grant (absent on legacy frames). Inside a GroupMsg
-		// the reader is scoped to the inner body, so r.len() is exact there
-		// too.
-		if r.err == nil && r.len() > 0 {
-			v.LeaseMS = r.u32()
-			v.LeaseSeq = r.u64()
-		}
+		v.LeaseMS = r.u32()
+		v.LeaseSeq = r.u64()
 		m = v
 	case TLeaseAck:
 		m = &LeaseAck{View: View(r.i32()), Seq: r.u64()}
@@ -1289,52 +1261,6 @@ func decodeMessage(r *reader, allowGroup, allowEpoch bool) (Message, error) {
 		v.OK = r.bool()
 		v.Redirect = r.i32()
 		v.Payload = r.bytes()
-		m = v
-	case TGroupMsg:
-		if !allowGroup {
-			return nil, fmt.Errorf("%w: nested GroupMsg", ErrUnknownType)
-		}
-		group := r.i32()
-		body := r.bytes()
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Decode the wrapped message inline from the borrowed body — the
-		// legacy path copied the body out and recursed into Unmarshal.
-		sub := reader{b: body}
-		inner, err := decodeMessage(&sub, false, false)
-		if err != nil {
-			return nil, err
-		}
-		if len(sub.b) != 0 {
-			Release(inner)
-			return nil, ErrTrailingData
-		}
-		v := groupMsgPool.Get().(*GroupMsg)
-		v.Group = group
-		v.Msg = inner
-		m = v
-	case TEpochMsg:
-		if !allowEpoch {
-			return nil, fmt.Errorf("%w: nested EpochMsg", ErrUnknownType)
-		}
-		epoch := r.i64()
-		body := r.bytes()
-		if r.err != nil {
-			return nil, r.err
-		}
-		sub := reader{b: body}
-		inner, err := decodeMessage(&sub, true, false)
-		if err != nil {
-			return nil, err
-		}
-		if len(sub.b) != 0 {
-			Release(inner)
-			return nil, ErrTrailingData
-		}
-		v := epochMsgPool.Get().(*EpochMsg)
-		v.Epoch = epoch
-		v.Msg = inner
 		m = v
 	case TTopoUpdate:
 		t, err := decodeTopologyFrom(r)

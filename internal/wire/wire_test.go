@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -166,14 +165,14 @@ func TestRetainSeversAllTypes(t *testing.T) {
 	}
 }
 
-// TestAppendMessageMatchesMarshalAndSize pins append-style encoding to the
-// legacy wire format: AppendMessage extends dst in place, produces exactly
-// Marshal's bytes, and Size predicts the encoded length exactly.
+// TestAppendMessageMatchesMarshalAndSize pins append-style encoding:
+// AppendMessage extends dst in place, produces exactly Marshal's bytes, and
+// Size predicts the encoded length exactly.
 func TestAppendMessageMatchesMarshalAndSize(t *testing.T) {
 	msgs := allMessages()
 	msgs = append(msgs,
-		&GroupMsg{Group: 2, Msg: &Propose{View: 1, ID: 3, DecidedUpTo: 2, Value: []byte("vv")}},
-		&GroupMsg{Group: 7, Msg: &Accept{View: 1, ID: 3}},
+		&PeerMsg{Epoch: 3, Group: 2, Msg: &Propose{View: 1, ID: 3, DecidedUpTo: 2, Value: []byte("vv")}},
+		&PeerMsg{Group: 7, Msg: &Accept{View: 1, ID: 3}},
 	)
 	for _, m := range msgs {
 		want := Marshal(m)
@@ -188,23 +187,6 @@ func TestAppendMessageMatchesMarshalAndSize(t *testing.T) {
 		if !bytes.Equal(got[len(prefix):], want) {
 			t.Errorf("%s: AppendMessage bytes differ from Marshal", m.Type())
 		}
-	}
-}
-
-// TestGroupMsgInlineEncodingMatchesNested pins the inline GroupMsg envelope
-// encoding to the legacy nested-Marshal format byte for byte.
-func TestGroupMsgInlineEncodingMatchesNested(t *testing.T) {
-	inner := &Propose{View: 5, ID: 77, DecidedUpTo: 70, Value: []byte("payload")}
-	innerBytes := Marshal(inner)
-	// The legacy encoding: tag, group, then the inner marshal as a
-	// length-prefixed byte field.
-	var legacy []byte
-	legacy = append(legacy, byte(TGroupMsg))
-	legacy = binary.LittleEndian.AppendUint32(legacy, uint32(int32(3)))
-	legacy = binary.LittleEndian.AppendUint32(legacy, uint32(len(innerBytes)))
-	legacy = append(legacy, innerBytes...)
-	if got := Marshal(&GroupMsg{Group: 3, Msg: inner}); !bytes.Equal(got, legacy) {
-		t.Errorf("inline GroupMsg encoding differs from the nested format:\n got %x\nwant %x", got, legacy)
 	}
 }
 
@@ -426,35 +408,69 @@ func TestPropertyUnmarshalRandomBytesNeverPanics(t *testing.T) {
 	}
 }
 
-func TestGroupMsgRoundTrip(t *testing.T) {
-	for _, inner := range []Message{
-		&Propose{View: 3, ID: 9, DecidedUpTo: 8, Value: []byte("batch")},
-		&Accept{View: 3, ID: 9},
-		&Heartbeat{View: 1, DecidedUpTo: 4},
-		&CatchUpQuery{From: 1, To: 5},
-	} {
-		m := &GroupMsg{Group: 3, Msg: inner}
-		got, err := Unmarshal(Marshal(m))
-		if err != nil {
-			t.Fatalf("%T: %v", inner, err)
-		}
-		gm, ok := got.(*GroupMsg)
-		if !ok || gm.Group != 3 {
-			t.Fatalf("round trip = %#v", got)
-		}
-		if !reflect.DeepEqual(normalize(gm.Msg), normalize(inner)) {
-			t.Errorf("inner %T round trip = %#v, want %#v", inner, gm.Msg, inner)
+// TestPeerMsgRoundTrip checks the peer-frame header: epoch and group come
+// back from UnmarshalPeer with the bare message, and the header is exactly
+// peerHeaderSize bytes in front of the message's own encoding.
+func TestPeerMsgRoundTrip(t *testing.T) {
+	for _, epoch := range []int64{0, 3} {
+		for _, group := range []int32{0, 3} {
+			for _, inner := range []Message{
+				&Propose{View: 3, ID: 9, DecidedUpTo: 8, Value: []byte("batch")},
+				&Accept{View: 3, ID: 9},
+				&Heartbeat{View: 1, DecidedUpTo: 4},
+				&CatchUpQuery{From: 1, To: 5},
+				&TopoUpdate{Topo: Topology{Epoch: epoch, Groups: 4, Peers: []string{"a:1", "", "c:3"}, Clients: []string{}}},
+			} {
+				frame := Marshal(&PeerMsg{Epoch: epoch, Group: group, Msg: inner})
+				if len(frame) != peerHeaderSize+Size(inner) ||
+					!bytes.Equal(frame[peerHeaderSize:], Marshal(inner)) {
+					t.Fatalf("%T at epoch %d group %d: frame %x is not header + message", inner, epoch, group, frame)
+				}
+				e, g, got, err := UnmarshalPeer(frame)
+				if err != nil {
+					t.Fatalf("%T at epoch %d group %d: %v", inner, epoch, group, err)
+				}
+				if e != epoch || g != group {
+					t.Errorf("%T: header = (%d, %d), want (%d, %d)", inner, e, g, epoch, group)
+				}
+				if !reflect.DeepEqual(normalize(got), normalize(inner)) {
+					t.Errorf("%T round trip = %#v, want %#v", inner, got, inner)
+				}
+			}
 		}
 	}
 }
 
-func TestNestedGroupMsgRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Marshal of nested GroupMsg did not panic")
-		}
-	}()
-	Marshal(&GroupMsg{Group: 1, Msg: &GroupMsg{Group: 2, Msg: &Accept{}}})
+// TestUnmarshalPeerRejects covers the malformed peer frames: each is an
+// error, never a message, and a peer frame is never a bare one.
+func TestUnmarshalPeerRejects(t *testing.T) {
+	frame := Marshal(&PeerMsg{Epoch: 2, Group: 1, Msg: &Accept{View: 1, ID: 2}})
+	nested := Marshal(&PeerMsg{Epoch: 2, Msg: &PeerMsg{Epoch: 2, Group: 1, Msg: &Accept{}}})
+	retiredTag := append([]byte{byte(TSnapshotChunk) + 1}, frame[1:]...) // the old epoch envelope's tag
+	tests := []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"empty", nil, ErrShortBuffer},
+		{"truncated header", frame[:peerHeaderSize-1], ErrShortBuffer},
+		{"header only", frame[:peerHeaderSize], ErrShortBuffer},
+		{"truncated message", frame[:len(frame)-1], ErrShortBuffer},
+		{"trailing bytes", append(append([]byte(nil), frame...), 0xAB), ErrTrailingData},
+		{"nested header", nested, ErrUnknownType},
+		{"retired epoch-envelope tag", retiredTag, ErrUnknownType},
+		{"bare frame", Marshal(&Accept{View: 1, ID: 2}), ErrUnknownType},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, _, m, err := UnmarshalPeer(tt.b); !errors.Is(err, tt.want) || m != nil {
+				t.Errorf("UnmarshalPeer = (%v, %v), want error %v", m, err, tt.want)
+			}
+		})
+	}
+	if _, err := Unmarshal(frame); !errors.Is(err, ErrUnknownType) {
+		t.Errorf("Unmarshal of a peer frame = %v, want %v", err, ErrUnknownType)
+	}
 }
 
 func TestSnapshotMetaEncoding(t *testing.T) {
@@ -540,10 +556,10 @@ func TestGroupCut(t *testing.T) {
 	}
 }
 
-// BenchmarkCodecAppendGroupMsg measures the multi-group envelope encode,
-// which the zero-copy path encodes inline (no nested Marshal and copy).
-func BenchmarkCodecAppendGroupMsg(b *testing.B) {
-	msg := &GroupMsg{Group: 2,
+// BenchmarkCodecAppendPeerMsg measures the peer-frame encode: the header
+// and the message after it, inline (no nested Marshal and copy).
+func BenchmarkCodecAppendPeerMsg(b *testing.B) {
+	msg := &PeerMsg{Epoch: 3, Group: 2,
 		Msg: &Propose{View: 3, ID: 42, DecidedUpTo: 41, Value: make([]byte, 1300)}}
 	buf := make([]byte, 0, 2048)
 	b.ReportAllocs()
