@@ -374,8 +374,10 @@ func TestCorruptWALSegmentBootQuarantines(t *testing.T) {
 	waitReplyCaches(t, c.reps, 20*time.Second)
 }
 
-// TestPullStageWriteFaultDegrades wipes a replica and makes the first write
-// to its snapshot-transfer staging file fail. A pull-stage fault is
+// TestPullStageWriteFaultDegrades wipes a replica and makes the first
+// staged chunk write of its snapshot transfer fail. A wiped replica cuts
+// nothing of its own before the install, so its first service-chunk file
+// ("svc-") is the pull's first staged chunk. A pull-stage fault is
 // degrade-class: the failed pull surfaces in SnapshotFailures, the replica
 // keeps running, and the retried transfer (the fault was transient)
 // completes the rejoin.
@@ -395,7 +397,7 @@ func TestPullStageWriteFaultDegrades(t *testing.T) {
 	if err := os.MkdirAll(c.dirs[2], 0o755); err != nil {
 		t.Fatal(err)
 	}
-	c.fss[2] = vfs.NewFaultFS(nil).Fail(vfs.Rule{Op: vfs.OpWrite, Path: "pull-"})
+	c.fss[2] = vfs.NewFaultFS(nil).Fail(vfs.Rule{Op: vfs.OpWrite, Path: "svc-"})
 	c.boot(2)
 
 	waitKV(t, c.stores, 40, 30*time.Second)

@@ -564,11 +564,12 @@ func waitForSnapshotCut(t *testing.T, dataDir string, minCut uint64, timeout tim
 //     SnapshotChunkBytes set far below the state size, every SnapshotChunk
 //     frame the donors emit must stay within the configured cap (plus frame
 //     header), and the stream must take many frames.
-//  2. An interrupted pull resumes from the last durable chunk, not byte 0:
-//     the fault injector lets exactly two chunk frames through, starves the
-//     rest until the puller gives up (SnapshotFailures rises), then heals
-//     the network. The retried pull must reuse the fsynced staging prefix —
-//     TransferResumedBytes lands on a chunk boundary > 0.
+//  2. An interrupted pull resumes from its durable chunks, not byte 0: the
+//     fault injector lets the manifest and exactly two chunk frames
+//     through, starves the rest until the puller gives up (SnapshotFailures
+//     rises), then heals the network. The retried pull must reuse the two
+//     fsynced, verified chunks — TransferResumedBytes equals the sum of
+//     their manifest lengths (what those frames carried) and is > 0.
 //
 // The same cap must hold on disk, so after convergence the victim's
 // snapshot directory is walked: every committed chunk file obeys the cap
@@ -593,6 +594,7 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 	var (
 		mode          atomic.Int32
 		chunkQuota    atomic.Int32
+		quotaBytes    atomic.Int64 // chunk bytes the quota let through (manifest pages excluded)
 		chunkFrames   atomic.Int64 // SnapshotChunk frames observed toward the victim
 		maxChunkFrame atomic.Int64 // largest such frame, bytes
 		gapPassed     atomic.Int64 // liveness frames the gap let through
@@ -605,8 +607,12 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 		// Peer frames carry a header; Hello, the one bare peer frame, is
 		// classified by its own tag.
 		typ := wire.MsgType(frame[0])
+		var chunkLen int64 = -1 // data length of an OK chunk (not manifest) frame
 		if _, _, m, err := wire.UnmarshalPeer(frame); err == nil {
 			typ = m.Type()
+			if c, ok := m.(*wire.SnapshotChunk); ok && c.OK && !c.Manifest {
+				chunkLen = int64(len(c.Data))
+			}
 			wire.Release(m)
 		}
 		if typ == wire.TSnapshotChunk {
@@ -629,7 +635,12 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 			return true, false
 		case faultChunks:
 			if typ == wire.TSnapshotChunk {
-				return chunkQuota.Add(-1) < 0, false
+				if chunkQuota.Add(-1) < 0 {
+					return true, false
+				}
+				if chunkLen >= 0 {
+					quotaBytes.Add(chunkLen)
+				}
 			}
 		}
 		return false, false
@@ -701,10 +712,10 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 			gapPassed.Load(), gapDropped.Load())
 	}
 
-	// Let the transfer start but strangle it after two staged chunks: the
-	// puller must eventually give up (a visible snapshot failure), leaving a
-	// durable 2-chunk staging prefix.
-	chunkQuota.Store(2)
+	// Let the transfer start but strangle it after the manifest and two
+	// staged chunks: the puller must eventually give up (a visible snapshot
+	// failure), leaving two durable, verified chunks on disk.
+	chunkQuota.Store(3)
 	mode.Store(faultChunks)
 	deadline := time.Now().Add(30 * time.Second)
 	for reps[2].SnapshotFailures() == 0 && time.Now().Before(deadline) {
@@ -727,8 +738,8 @@ func TestSnapshotPullResumesFromStagedChunks(t *testing.T) {
 	if resumed == 0 {
 		t.Error("retried pull restarted from byte 0; staged chunks were not reused")
 	}
-	if resumed%chunkBytes != 0 {
-		t.Errorf("resumed %d bytes, not a chunk boundary (chunk cap %d): staging must fsync whole chunks", resumed, chunkBytes)
+	if want := uint64(quotaBytes.Load()); resumed != want {
+		t.Errorf("resumed %d bytes, want %d — the two chunks staged before the starvation, whole and verified", resumed, want)
 	}
 
 	// Wire bound: many frames, none above the cap (+ small frame header).

@@ -420,10 +420,12 @@ func (r *Replica) DiskQuarantines() uint64 { return r.inner.DiskQuarantines() }
 // crash-restart tests rely on it).
 func (r *Replica) ReplyCacheBytes() []byte { return r.inner.ReplyCacheBytes() }
 
-// SnapshotImage returns a copy of the newest assembled snapshot's transfer
-// image — cut, generation chain, and reply cache in one deterministic byte
-// string — or nil before the first cut. Converged replicas produce
-// byte-identical images regardless of Groups or ExecutorWorkers.
+// SnapshotImage returns the newest snapshot as one deterministic byte
+// string, built on each call for tests and debugging: its manifest (cut,
+// groups, topology, the generation chain with every chunk's length and
+// CRC) followed by every chunk it names, reply cache last — or nil before
+// the first cut. Converged replicas produce byte-identical images
+// regardless of Groups or ExecutorWorkers.
 func (r *Replica) SnapshotImage() []byte { return r.inner.SnapshotImage() }
 
 // ClientAddr returns the bound client-facing address (resolves ephemeral

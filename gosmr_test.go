@@ -287,12 +287,13 @@ func TestParallelExecutionPublicAPI(t *testing.T) {
 // across the Groups × ExecutorWorkers matrix: with aggressive snapshotting
 // and writes still arriving while drains run in the background (the
 // copy-on-write window), every replica must assemble byte-identical
-// snapshot images — same cut, same full/delta generation chain, same chunk
-// boundaries, same reply cache. Concurrent clients hammer overlapping keys
+// snapshot images — the same manifest (cut, groups, topology, full/delta
+// generation chain, every chunk's length and CRC) followed by the same
+// chunks, reply cache included. Concurrent clients hammer overlapping keys
 // so cuts land mid-burst; the full/delta cadence is a pure function of the
 // cut index, so no replica may disagree about which generations exist.
 func TestAssembledSnapshotDeterminism(t *testing.T) {
-	for _, groups := range []int{1, 2} {
+	for _, groups := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("groups=%d_workers=%d", groups, workers), func(t *testing.T) {
 				c := startCluster(t, 3, clusterConfig{
@@ -334,9 +335,9 @@ func TestAssembledSnapshotDeterminism(t *testing.T) {
 				c.waitConverged(clients*each, 15*time.Second)
 
 				// Every replica has executed the same prefix; once the last
-				// cadence cut's drain completes everywhere, the assembled
-				// images (cut + chain + reply cache in one encoding) must
-				// match byte for byte.
+				// cadence cut's drain completes everywhere, the images
+				// (manifest, then every chunk it names) must match byte for
+				// byte.
 				deadline := time.Now().Add(10 * time.Second)
 				var imgs [3][]byte
 				for time.Now().Before(deadline) {

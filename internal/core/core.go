@@ -308,7 +308,7 @@ type event struct {
 	view wire.View       // evSuspect
 	upTo wire.InstanceID // evTruncate, evFastForward
 	gen  uint64          // evCatchUpTimer: query generation the timer was armed for
-	snap *wire.Snapshot  // evFastForward: durably installed snapshot (ack), or nil
+	snap *Snapshot       // evFastForward: durably installed snapshot (ack), or nil
 }
 
 // decisionItem is one decision-stream item: either a decided batch or a
@@ -316,16 +316,16 @@ type event struct {
 // carry group-local instance IDs; after the merge stage the ID is an index
 // into the merged total order. The two-phase install travels as two
 // different item shapes: first a snapshot announcement (meta set) flowing
-// Merger → ServiceManager — the ServiceManager pulls the chunked image from
-// peers, persists and restores it; the Merger's position does not move yet —
-// then, once installed, an installed marker carrying the assembled snapshot
+// Merger → ServiceManager — the ServiceManager pulls the snapshot's chunks
+// from peers, persists and restores it; the Merger's position does not move
+// yet — then, once installed, an installed marker carrying the snapshot
 // (snapshot set, installed=true) flowing each group's Protocol thread →
 // Merger, which is what jumps the merge position.
 type decisionItem struct {
 	id        wire.InstanceID
 	value     []byte             // encoded batch
 	meta      *wire.SnapshotMeta // install request: pull + install this snapshot
-	snapshot  *wire.Snapshot
+	snapshot  *Snapshot
 	installed bool
 }
 
@@ -395,93 +395,4 @@ func (r *clientRegistry) drop(client uint64, cc *clientConn) {
 		delete(s.m, client)
 	}
 	s.mu.Unlock()
-}
-
-// snapshotStore holds the most recent service snapshot, written by the
-// ServiceManager thread (or its drainer goroutine) and read by the Protocol
-// thread when advertising state transfer and by reader threads when serving
-// chunk pulls. This is one of the paper's sanctioned shared-state
-// exceptions: a single value behind a small mutex, never held across
-// blocking operations.
-//
-// Snapshots never cross the wire whole: the store lazily flattens the
-// current snapshot into its transfer image (the snapshot-file encoding) and
-// serves it as offset-addressed byte ranges, so a puller can fetch it one
-// bounded frame at a time and resume mid-stream. The image is immutable
-// once built — put replaces the pointer, it never mutates in place — so
-// readAt can hand out borrowed sub-slices without copying.
-type snapshotStore struct {
-	mu    sync.Mutex
-	snap  wire.Snapshot
-	image []byte // lazily built transfer image; nil until first meta/readAt
-	ok    bool
-}
-
-func (s *snapshotStore) put(snap wire.Snapshot) {
-	s.mu.Lock()
-	s.snap = snap
-	s.image = nil
-	s.ok = true
-	s.mu.Unlock()
-}
-
-func (s *snapshotStore) get() (wire.Snapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap, s.ok
-}
-
-func (s *snapshotStore) imageLocked() []byte {
-	if s.image == nil {
-		s.image = encodeSnapshotFile(s.snap)
-	}
-	return s.image
-}
-
-// imageCopy returns an owned copy of the assembled transfer image, or nil
-// if no snapshot has been cut yet. Because the image encodes the cut, the
-// full generation chain and the reply cache, byte-comparing it across
-// replicas is the strongest cheap determinism check the module exposes.
-func (s *snapshotStore) imageCopy() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok {
-		return nil
-	}
-	return append([]byte(nil), s.imageLocked()...)
-}
-
-// meta describes the current snapshot for catch-up advertisements (the
-// paxos SnapshotProvider).
-func (s *snapshotStore) meta() (wire.SnapshotMeta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok {
-		return wire.SnapshotMeta{}, false
-	}
-	return wire.SnapshotMeta{
-		LastIncluded: s.snap.LastIncluded,
-		Groups:       s.snap.Groups,
-		TotalBytes:   uint64(len(s.imageLocked())),
-	}, true
-}
-
-// readAt serves one transfer frame: up to maxBytes of the image for cut
-// starting at off. The returned slice borrows the immutable image and must
-// not be held past the next GC of the store's snapshot generation (in
-// practice: encode it into the outgoing frame immediately). ok is false
-// when the store no longer holds that cut or off is out of range.
-func (s *snapshotStore) readAt(cut wire.InstanceID, off uint64, maxBytes int) (data []byte, total uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok || s.snap.LastIncluded != cut {
-		return nil, 0, false
-	}
-	img := s.imageLocked()
-	total = uint64(len(img))
-	if off >= total {
-		return nil, total, false
-	}
-	n := min(uint64(maxBytes), total-off)
-	return img[off : off+n], total, true
 }

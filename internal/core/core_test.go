@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"gosmr/internal/profiling"
 	"gosmr/internal/service"
+	"gosmr/internal/snapshot"
 	"gosmr/internal/transport"
 	"gosmr/internal/wire"
 )
@@ -62,15 +64,59 @@ func TestClientRegistry(t *testing.T) {
 	}
 }
 
+// TestSnapshotStore pins the in-memory format: a snapshot is its manifest
+// and its chunks in manifest order — every generation's, then the reply
+// cache's — and a delta cut shares its base's chunks instead of copying them.
 func TestSnapshotStore(t *testing.T) {
 	var s snapshotStore
-	if _, ok := s.get(); ok {
+	if s.get() != nil {
 		t.Error("empty store reported a snapshot")
 	}
-	s.put(wire.Snapshot{LastIncluded: 9})
-	snap, ok := s.get()
-	if !ok || snap.LastIncluded != 9 {
-		t.Errorf("get = %+v %v", snap, ok)
+	if _, ok := s.meta(); ok {
+		t.Error("empty store advertised a snapshot")
+	}
+	chunks := func(cs ...string) [][]byte {
+		var out [][]byte
+		for _, c := range cs {
+			out = append(out, []byte(c))
+		}
+		return out
+	}
+	topo := wire.EncodeTopology(&wire.Topology{Groups: 2, Peers: []string{"p0"}})
+	base := newSnapshot(nil, 9, 2, topo, true, chunks("a1", "a2"), chunks("rc"))
+	s.put(base)
+	if s.get() != base {
+		t.Fatal("get did not return the stored snapshot")
+	}
+	if m, ok := s.meta(); !ok || m != (wire.SnapshotMeta{LastIncluded: 9, Groups: 2}) {
+		t.Errorf("meta = %+v %v", m, ok)
+	}
+	delta := newSnapshot(base, 19, 2, topo, false, chunks("d1"), chunks("rc2"))
+	want := []string{"a1", "a2", "d1", "rc2"}
+	if delta.NumChunks() != len(want) {
+		t.Fatalf("delta names %d chunks, want %d", delta.NumChunks(), len(want))
+	}
+	for i, w := range want {
+		c, ok := delta.piece(false, int32(i), 1024)
+		if !ok || string(c) != w || !delta.Ref(i).Matches(c) {
+			t.Errorf("chunk %d = %q %v, want %q matching its manifest entry", i, c, ok, w)
+		}
+	}
+	if &delta.chunks[0][0] != &base.chunks[0][0] {
+		t.Error("delta copied its base's chunk instead of sharing it")
+	}
+	gens := delta.gens()
+	if len(gens) != 2 || !gens[0].Full || gens[1].Full ||
+		len(gens[0].Chunks) != 2 || string(gens[1].Chunks[0]) != "d1" || string(delta.rc()[0]) != "rc2" {
+		t.Errorf("delta chain = %+v, rc %q", gens, delta.rc())
+	}
+	if m, err := snapshot.DecodeManifest(delta.enc); err != nil || m.Cut != 19 || len(m.Gens) != 2 || m.Gens[0].Cut != 9 {
+		t.Errorf("manifest encoding decodes to %+v, %v", m, err)
+	}
+	// The debug image is the manifest followed by the chunks.
+	img := delta.image()
+	if !bytes.HasPrefix(img, delta.enc) || string(img[len(delta.enc):]) != "a1a2d1rc2" {
+		t.Errorf("image = %q", img)
 	}
 }
 

@@ -114,13 +114,13 @@ func (m *mergeState) drain() []mergedDecision {
 // merge, every group's position jumps to its share of the covered prefix and
 // true is returned. Snapshots at or behind the current merge position are
 // stale (the local state already covers them) and are dropped.
-func (m *mergeState) feedSnapshot(snap *wire.Snapshot) bool {
-	if snap.GroupCount() != m.groups || int64(snap.LastIncluded) < m.next {
+func (m *mergeState) feedSnapshot(snap *Snapshot) bool {
+	if int(snap.Groups) != m.groups || int64(snap.Cut) < m.next {
 		return false
 	}
-	m.next = int64(snap.LastIncluded) + 1
+	m.next = int64(snap.Cut) + 1
 	for g := range m.expect {
-		m.expect[g] = wire.GroupCut(snap.LastIncluded, m.groups, g)
+		m.expect[g] = wire.GroupCut(snap.Cut, m.groups, g)
 		for id := range m.pending[g] {
 			if id < m.expect[g] {
 				delete(m.pending[g], id)
@@ -175,7 +175,7 @@ func (r *Replica) runMerger() {
 		// performs. Each group's Protocol thread re-emits its decided
 		// suffix from the matching group-local position.
 		m.feedSnapshot(r.bootSnap)
-		durableCut = int64(r.bootSnap.LastIncluded)
+		durableCut = int64(r.bootSnap.Cut)
 		for g := range m.expect {
 			r.groups[g].mergedUpTo.Store(int64(m.expect[g]))
 		}
@@ -208,7 +208,7 @@ func (r *Replica) runMerger() {
 			// journaled its cut. Jump the merge position; duplicate
 			// markers from the other groups are stale and drop here
 			// (but still witness durability).
-			durableCut = max(durableCut, int64(snap.LastIncluded))
+			durableCut = max(durableCut, int64(snap.Cut))
 			if !m.feedSnapshot(snap) {
 				continue
 			}
@@ -217,7 +217,7 @@ func (r *Replica) runMerger() {
 			// Safe — the snapshot is durable, so journaling the cut
 			// cannot outrun it.
 			for _, g := range r.groups {
-				cut := wire.GroupCut(snap.LastIncluded, len(r.groups), g.idx)
+				cut := wire.GroupCut(snap.Cut, len(r.groups), g.idx)
 				_, _ = g.dispatchQ.TryPut(event{kind: evFastForward, upTo: cut})
 				g.mergedUpTo.Store(int64(m.expect[g.idx]))
 			}
@@ -231,7 +231,7 @@ func (r *Replica) runMerger() {
 		if meta := gd.item.meta; meta != nil {
 			// Phase 1: a catch-up snapshot advertised to a group. The merge
 			// position does NOT move yet — the ServiceManager must pull the
-			// chunked image and persist it first (a pull or persist failure
+			// snapshot's chunks and persist it first (a pull or persist failure
 			// simply means catch-up retries and no state changed anywhere).
 			// Forward the announcement downstream; duplicates of an
 			// in-flight install are deduplicated by the ServiceManager

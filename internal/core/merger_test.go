@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gosmr/internal/service"
+	"gosmr/internal/snapshot"
 	"gosmr/internal/transport"
 	"gosmr/internal/wire"
 )
@@ -102,7 +103,7 @@ func TestMergeSnapshotJump(t *testing.T) {
 	m.feed(2, 30, []byte("ahead"))
 	m.feed(0, 25, []byte("cursor"))
 
-	snap := &wire.Snapshot{LastIncluded: 99, Groups: groups}
+	snap := &Snapshot{Manifest: snapshot.Manifest{Cut: 99, Groups: groups}}
 	if !m.feedSnapshot(snap) {
 		t.Fatal("snapshot rejected")
 	}
@@ -127,11 +128,11 @@ func TestMergeSnapshotJump(t *testing.T) {
 	}
 
 	// Stale snapshot (behind the merge position) is rejected.
-	if m.feedSnapshot(&wire.Snapshot{LastIncluded: 50, Groups: groups}) {
+	if m.feedSnapshot(&Snapshot{Manifest: snapshot.Manifest{Cut: 50, Groups: groups}}) {
 		t.Error("stale snapshot accepted")
 	}
 	// Topology mismatch is rejected.
-	if m.feedSnapshot(&wire.Snapshot{LastIncluded: 500, Groups: 2}) {
+	if m.feedSnapshot(&Snapshot{Manifest: snapshot.Manifest{Cut: 500, Groups: 2}}) {
 		t.Error("mismatched-groups snapshot accepted")
 	}
 

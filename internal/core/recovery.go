@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"path/filepath"
 	"strings"
@@ -16,12 +14,12 @@ import (
 
 // Crash-restart recovery. With Config.DataDir set, each ordering group
 // journals its acceptor state transitions to a write-ahead log
-// (internal/wal) and every snapshot cut is committed as a manifest plus
+// (internal/wal) and every snapshot cut is committed as its manifest plus
 // size-capped chunk files (snapdisk.go), laid out as
 //
 //	DataDir/
-//	  snapshots/manifest-<merged index>.mf (committed generation chain)
-//	  snapshots/gen-<merged index>-NN/     (chunk files of one generation)
+//	  snapshots/manifest-<merged index>.mf (the snapshot's manifest)
+//	  snapshots/gen-<merged index>-<id>/   (chunk files of one generation)
 //	  group-0/wal-00000001.seg ...         (per-group WAL segments)
 //	  group-1/...
 //
@@ -57,7 +55,7 @@ type groupBoot struct {
 
 // bootState is everything recovery rebuilt before the pipeline starts.
 type bootState struct {
-	snap   *wire.Snapshot // newest durable snapshot, nil if none
+	snap   *Snapshot // newest durable snapshot, nil if none
 	groups []groupBoot
 	// topo is the on-disk topology to install when it refines the seed
 	// (same epoch, committed BaseView); nil when the seed stands as-is.
@@ -102,18 +100,16 @@ func (r *Replica) recoverBoot() (*bootState, error) {
 		}
 	}
 	if snap != nil {
-		if snap.GroupCount() != len(r.groups) {
+		if int(snap.Groups) != len(r.groups) {
 			return nil, fmt.Errorf("core: data dir %s was written with %d ordering groups, replica configured with %d",
-				dir, snap.GroupCount(), len(r.groups))
+				dir, snap.Groups, len(r.groups))
 		}
 		b.snap = snap
-		if len(snap.Topo) > 0 {
-			t, terr := wire.DecodeTopology(snap.Topo)
-			if terr != nil {
-				return nil, fmt.Errorf("core: data dir %s: snapshot topology: %w", dir, terr)
-			}
-			consider(t)
+		t, terr := wire.DecodeTopology(snap.Topo)
+		if terr != nil {
+			return nil, fmt.Errorf("core: data dir %s: snapshot topology: %w", dir, terr)
 		}
+		consider(t)
 	}
 	r.quarantines.Add(uint64(len(skipped))) // manifests snapDisk renamed to *.corrupt
 	for i := range r.groups {
@@ -161,7 +157,7 @@ func (r *Replica) recoverBoot() (*bootState, error) {
 		log := storage.NewLog()
 		bootCut := wire.InstanceID(0)
 		if b.snap != nil {
-			bootCut = wire.GroupCut(b.snap.LastIncluded, len(r.groups), g)
+			bootCut = wire.GroupCut(b.snap.Cut, len(r.groups), g)
 			log.CoverPrefix(bootCut)
 		}
 		view, gtopo, err := replayWAL(log, recs)
@@ -291,92 +287,4 @@ func suffixStates(log *storage.Log) []wal.Record {
 		})
 	}
 	return out
-}
-
-// Snapshot transfer image: a fixed header (magic, version), the
-// wire-encoded snapshot, and a trailing CRC32 of everything before it. No
-// longer a disk format (snapdisk.go owns the durable layout) — this is the
-// flat serialization state transfer slices into bounded SnapshotChunk
-// frames, and what SnapshotMeta.TotalBytes measures.
-const (
-	snapMagic = 0x50414E53 // "SNAP"
-	// Version 1 is the epoch-0 image (no topology section); version 2
-	// appends the encoded topology of the epoch the cut was taken under.
-	// Epoch-0 cuts still emit version 1 byte-for-byte, so legacy image
-	// determinism (and cross-version transfer within epoch 0) is preserved.
-	snapVersion     = 1
-	snapVersionTopo = 2
-)
-
-// encodeSnapshotFile serializes snap into its transfer image.
-func encodeSnapshotFile(snap wire.Snapshot) []byte {
-	ver := uint32(snapVersion)
-	if len(snap.Topo) > 0 {
-		ver = snapVersionTopo
-	}
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, snapMagic)
-	b = binary.LittleEndian.AppendUint32(b, ver)
-	b = binary.LittleEndian.AppendUint64(b, uint64(snap.LastIncluded))
-	b = binary.LittleEndian.AppendUint32(b, uint32(snap.Groups))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(snap.ServiceState)))
-	b = append(b, snap.ServiceState...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(snap.ReplyCache)))
-	b = append(b, snap.ReplyCache...)
-	if ver >= snapVersionTopo {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(snap.Topo)))
-		b = append(b, snap.Topo...)
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// decodeSnapshotFile parses and verifies a transfer image. Length fields
-// are validated against the remaining bytes before any allocation.
-func decodeSnapshotFile(b []byte) (wire.Snapshot, error) {
-	var snap wire.Snapshot
-	if len(b) < 24 {
-		return snap, fmt.Errorf("snapshot file too short")
-	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return snap, fmt.Errorf("snapshot file checksum mismatch")
-	}
-	ver := binary.LittleEndian.Uint32(body[4:])
-	if binary.LittleEndian.Uint32(body) != snapMagic ||
-		(ver != snapVersion && ver != snapVersionTopo) {
-		return snap, fmt.Errorf("snapshot file bad header")
-	}
-	snap.LastIncluded = wire.InstanceID(binary.LittleEndian.Uint64(body[8:]))
-	snap.Groups = int32(binary.LittleEndian.Uint32(body[16:]))
-	rest := body[20:]
-	take := func() ([]byte, error) {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("snapshot file truncated")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("snapshot file truncated")
-		}
-		v := make([]byte, n)
-		copy(v, rest[:n])
-		rest = rest[n:]
-		return v, nil
-	}
-	var err error
-	if snap.ServiceState, err = take(); err != nil {
-		return snap, err
-	}
-	if snap.ReplyCache, err = take(); err != nil {
-		return snap, err
-	}
-	if ver >= snapVersionTopo {
-		if snap.Topo, err = take(); err != nil {
-			return snap, err
-		}
-	}
-	if len(rest) != 0 {
-		return snap, fmt.Errorf("snapshot file trailing bytes")
-	}
-	return snap, nil
 }

@@ -17,6 +17,7 @@ import (
 	"gosmr/internal/queue"
 	"gosmr/internal/replycache"
 	"gosmr/internal/retrans"
+	"gosmr/internal/snapshot"
 	"gosmr/internal/wal"
 	"gosmr/internal/wire"
 )
@@ -84,8 +85,9 @@ func gname(base string, idx int) string {
 // NewReplica, then Start; Stop shuts every module down and waits for all
 // goroutines.
 type Replica struct {
-	cfg Config
-	svc Service
+	cfg    Config
+	svc    Service
+	cutter snapshot.Cutter // svc's snapshot contract (snapshot.Chunked)
 
 	// Ordering groups (Batcher + Protocol pipelines).
 	groups []*ordGroup
@@ -134,19 +136,18 @@ type Replica struct {
 	// service is not ConflictAware; all requests then order in group 0).
 	groupKeys func([]byte) []string
 
-	// Snapshot machinery. snapshots is the cross-thread image store
-	// (catch-up advertisements + chunk serving); snapDisk owns the durable
-	// manifest/chunk layout (nil without DataDir); puller is the chunk-pull
-	// client used during state transfer. snapChain, drain and forceFull are
-	// the ServiceManager's drain state: the in-memory generation chain, the
-	// in-flight background drain (nil when idle), and the flag forcing the
-	// next cut to be full after a failed cut/drain/persist. Chain ownership
-	// passes ServiceManager → drainer goroutine → ServiceManager through
-	// the drain handle's done channel; no lock is needed.
+	// Snapshot machinery. snapshots holds the newest snapshot — the chain
+	// the next delta cut extends, and what catch-up advertises and serves;
+	// snapDisk owns the durable manifest/chunk layout (nil without DataDir);
+	// puller is the chunk-pull client used during state transfer. drain and
+	// forceFull are the ServiceManager's drain state: the in-flight
+	// background drain (nil when idle), and the flag forcing the next cut to
+	// be full after a failed cut/drain/persist. Chain ownership passes
+	// ServiceManager → drainer goroutine → ServiceManager through the drain
+	// handle's done channel; no lock is needed.
 	snapshots *snapshotStore
 	snapDisk  *snapDisk
 	puller    *snapPuller
-	snapChain []memGen
 	drain     *drainJob
 	forceFull bool
 
@@ -165,7 +166,7 @@ type Replica struct {
 
 	// bootSnap is the snapshot recovery booted from (nil without DataDir or
 	// on a fresh start); the Merger seeds its position from it.
-	bootSnap *wire.Snapshot
+	bootSnap *Snapshot
 
 	// Counters for metrics and experiments.
 	executed       atomic.Uint64 // requests executed
@@ -216,6 +217,7 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 	r := &Replica{
 		cfg:       cfg,
 		svc:       svc,
+		cutter:    snapshot.Chunked(svc),
 		groups:    make([]*ordGroup, cfg.Groups),
 		mergeQ:    queue.NewBounded[groupDecision]("MergeQueue", decisionQueueCap),
 		decisionQ: queue.NewBounded[decisionItem]("DecisionQueue", decisionQueueCap),
@@ -235,7 +237,7 @@ func NewReplica(cfg Config, svc Service) (*Replica, error) {
 	r.smTopo = seed
 	r.puller = &snapPuller{resp: make(chan pulledChunk, 4)}
 	if cfg.DataDir != "" {
-		r.snapDisk = newSnapDisk(filepath.Join(cfg.DataDir, "snapshots"), cfg.SnapshotChunkBytes, cfg.FS)
+		r.snapDisk = newSnapDisk(filepath.Join(cfg.DataDir, "snapshots"), cfg.FS)
 	}
 	for i := range r.groups {
 		r.groups[i] = &ordGroup{
@@ -391,13 +393,18 @@ func (r *Replica) maybeShrinkWAL(err error) {
 // across replicas, worker counts, and restarts.
 func (r *Replica) ReplyCacheBytes() []byte { return r.replyCache.Marshal() }
 
-// SnapshotImage returns a copy of the newest assembled snapshot's transfer
-// image (cut + generation chain + reply cache in one deterministic byte
-// string), or nil if no snapshot has been cut yet. Replicas that executed
-// the same prefix must produce byte-identical images regardless of group
-// count or worker count — the cluster determinism tests compare exactly
-// this.
-func (r *Replica) SnapshotImage() []byte { return r.snapshots.imageCopy() }
+// SnapshotImage returns the newest snapshot as one byte string — its
+// manifest (cut, groups, topology, every chunk's length and CRC) followed
+// by its chunks, reply cache last — or nil if no snapshot has been cut yet.
+// Replicas that executed the same prefix must produce byte-identical images
+// regardless of group count or worker count — the cluster determinism
+// tests compare exactly this. Built on each call.
+func (r *Replica) SnapshotImage() []byte {
+	if snap := r.snapshots.get(); snap != nil {
+		return snap.image()
+	}
+	return nil
+}
 
 // QueueStats reports the time-averaged lengths of the three queues of
 // Table I (per ordering group) plus the merge and decision queues and, when
@@ -485,12 +492,12 @@ func (r *Replica) Start() error {
 				r.cfg.ID, b.topo.Epoch, b.topo.BaseView)
 		}
 		if b.snap != nil {
-			if err := r.restoreFromSnapshot(*b.snap); err != nil {
+			if err := r.restoreFromSnapshot(b.snap); err != nil {
 				b.closeWALs()
 				return err
 			}
 			r.bootSnap = b.snap
-			r.applied.completed = int64(b.snap.LastIncluded)
+			r.applied.completed = int64(b.snap.Cut)
 		}
 		topo := r.topo.Load()
 		for i, g := range r.groups {

@@ -55,7 +55,7 @@ func (r *Replica) runServiceManager() {
 	// at best resend cached replies and at worst cut a mislabeled snapshot.
 	floor := int64(-1)
 	if r.bootSnap != nil {
-		floor = int64(r.bootSnap.LastIncluded)
+		floor = int64(r.bootSnap.Cut)
 	}
 	// position is the merged index this thread has fully scheduled; the
 	// applied-waiter registry (reads.go) publishes it as `completed` once the
@@ -197,26 +197,29 @@ func (r *Replica) sendReply(req *wire.ClientRequest, reply []byte) {
 
 // installFromMeta handles a snapshot announcement from the Merger: the
 // replica is too far behind for log or WAL catch-up, and a peer advertised
-// a snapshot it should install. The snapshot no longer arrives inline —
-// only its metadata did; this pulls the image from peers one bounded,
-// offset-addressed frame at a time (resumable across restarts and
-// reconnects, see snaptransfer.go), then runs the install. The pull is
-// synchronous on this thread: a replica this far behind has nothing better
-// to do, and responses arrive via the reader threads, so nothing deadlocks.
+// a snapshot it should install. The snapshot never arrives inline — only
+// its metadata did; this pulls its manifest and then its chunks from peers,
+// one verified chunk per frame (resumable across restarts and reconnects,
+// see snaptransfer.go), then runs the install. The pull is synchronous on
+// this thread: a replica this far behind has nothing better to do, and
+// responses arrive via the reader threads, so nothing deadlocks.
 // Pull failure refuses the install with nothing changed; the requesting
 // group's catch-up timer re-surfaces the metadata and the pull resumes from
-// the staged prefix.
+// the staged chunks.
 //
 // An announcement at or below the current floor is a duplicate from a
 // catch-up retry: the state is already installed and durable, so only the
 // acks are resent — healing any group whose fast-forward nudge was lost.
 func (r *Replica) installFromMeta(th *profiling.Thread, meta *wire.SnapshotMeta, floor int64) int64 {
 	if int64(meta.LastIncluded) <= floor {
-		if snap, ok := r.snapshots.get(); ok && int64(snap.LastIncluded) >= int64(meta.LastIncluded) {
-			r.sendInstallAcks(&snap)
+		if snap := r.snapshots.get(); snap != nil && snap.Cut >= meta.LastIncluded {
+			r.sendInstallAcks(snap)
 		}
 		return floor
 	}
+	// The pull stages chunks into the disk layout and the install replaces
+	// the chain, both of which the drainer shares: wait it out first.
+	r.awaitDrain()
 	snap, err := r.pullSnapshot(*meta)
 	if err != nil {
 		r.snapshotFailure("pulling transferred snapshot", meta.LastIncluded, err)
@@ -229,39 +232,34 @@ func (r *Replica) installFromMeta(th *profiling.Thread, meta *wire.SnapshotMeta,
 // FIRST, then restore, then ack. The ordering is the crash-consistency
 // invariant — no group journals its cut (that happens only on the
 // evFastForward ack this sends) until the snapshot covering that cut is
-// durably committed, now at manifest granularity: chunk files land first,
-// the manifest rename is the commit point, so a kill at ANY chunk boundary
-// of the install reboots cleanly from the DataDir. On persist failure the
-// install is refused outright: nothing restored, no acks, no state changed
-// anywhere; catch-up retries. Workers are quiesced before the restore so no
+// durably committed, at manifest granularity: the pull staged and fsynced
+// every chunk file, the manifest rename is the commit point, so a kill at
+// ANY chunk boundary of the transfer reboots cleanly from the DataDir. On
+// persist failure the install is refused outright: nothing restored, no
+// acks, no state changed anywhere; catch-up retries. Workers are quiesced before the restore so no
 // in-flight execution observes the swap, and the scheduler's at-most-once
 // table is rebuilt from the restored reply cache (with Inline workers:
 // those executions are part of the snapshot, so nothing needs ordering
 // behind them).
-func (r *Replica) installSnapshot(th *profiling.Thread, snap *wire.Snapshot, floor int64) int64 {
-	if int64(snap.LastIncluded) <= floor {
-		r.sendInstallAcks(snap)
-		return floor
-	}
-	// The drainer shares the chain and disk layout; an install replaces
-	// both, so wait it out first.
-	r.awaitDrain()
+func (r *Replica) installSnapshot(th *profiling.Thread, snap *Snapshot, floor int64) int64 {
 	crashPoint("transfer-install")
 	r.exec.Quiesce(th)
-	if err := r.persistTransferred(*snap); err != nil {
-		r.snapshotFailure("persisting transferred snapshot", snap.LastIncluded, err)
-		r.maybeShrinkWAL(err)
-		return floor
+	if r.snapDisk != nil {
+		if err := r.snapDisk.commit(snap); err != nil {
+			r.snapshotFailure("persisting transferred snapshot", snap.Cut, err)
+			r.maybeShrinkWAL(err)
+			return floor
+		}
 	}
 	crashPoint("transfer-persisted")
-	if err := r.restoreFromSnapshot(*snap); err != nil {
-		r.snapshotFailure("restoring transferred snapshot", snap.LastIncluded, err)
+	if err := r.restoreFromSnapshot(snap); err != nil {
+		r.snapshotFailure("restoring transferred snapshot", snap.Cut, err)
 		return floor
 	}
 	r.forceFull = false
 	r.stateTransfers.Add(1)
 	r.sendInstallAcks(snap)
-	return int64(snap.LastIncluded)
+	return int64(snap.Cut)
 }
 
 // sendInstallAcks releases every group's fast-forward past a durably
@@ -269,9 +267,9 @@ func (r *Replica) installSnapshot(th *profiling.Thread, snap *wire.Snapshot, flo
 // all groups when the first marker jumps it, and a duplicate install
 // request from the requester's catch-up retry resends the acks, so a lost
 // nudge heals instead of wedging the group behind the cut.
-func (r *Replica) sendInstallAcks(snap *wire.Snapshot) {
+func (r *Replica) sendInstallAcks(snap *Snapshot) {
 	for _, g := range r.groups {
-		cut := wire.GroupCut(snap.LastIncluded, len(r.groups), g.idx)
+		cut := wire.GroupCut(snap.Cut, len(r.groups), g.idx)
 		_, _ = g.dispatchQ.TryPut(event{kind: evFastForward, upTo: cut, snap: snap})
 	}
 }
@@ -294,9 +292,9 @@ func (r *Replica) maybeSnapshot(th *profiling.Thread, executedID wire.InstanceID
 	// it rather than skip: every replica must cut at every point (a skipped
 	// cut here would diverge the delta chains cluster-wide).
 	r.awaitDrain()
-	full := r.forceFull || len(r.snapChain) == 0 || r.fullCutDue(executedID)
+	full := r.forceFull || r.snapshots.get() == nil || r.fullCutDue(executedID)
 	r.exec.Quiesce(th)
-	src, isFull, err := r.cutSource(full)
+	src, isFull, err := r.cutter.CutSnapshot(full)
 	if err != nil {
 		r.snapshotFailure("cutting snapshot", executedID, err)
 		r.forceFull = true // this cut is missing from the chain
@@ -306,91 +304,46 @@ func (r *Replica) maybeSnapshot(th *profiling.Thread, executedID wire.InstanceID
 	rc := r.replyCache.Marshal()
 	// Stamp the cut with the ServiceManager's log-ordered topology: every
 	// replica cutting at this merged index has applied exactly the same
-	// config commands, so the stamp is deterministic. Epoch 0 stamps nothing,
-	// keeping legacy images byte-identical.
-	var topo []byte
-	if r.smTopo != nil && r.smTopo.Epoch > 0 {
-		topo = wire.EncodeTopology(r.smTopo)
-	}
+	// config commands, so the stamp is deterministic.
+	topo := wire.EncodeTopology(r.smTopo)
 	job := &drainJob{done: make(chan struct{})}
 	r.drain = job
 	go r.runDrain(job, src, executedID, isFull, rc, topo)
 }
 
 // restoreFromSnapshot replaces service, reply-cache, and execution-scheduler
-// state from snap, and publishes it for catch-up responders — the one
-// sequence shared by live snapshot installs and crash-restart boot, so both
-// paths rebuild byte-identical state (restart determinism depends on it).
-// The service state is a generation chain: a chunk-contract service
-// restores it directly (oldest full generation, deltas overlaid); a plain
-// blob service gets the joined chunks of its single full generation, and a
-// chain with deltas for such a service is refused as corrupt. The restored
-// chain also seeds the in-memory chain, so the next delta cut extends it.
-// Entries rebuilt from a snapshot carry executor.Inline: those executions
-// are part of the snapshot, so nothing needs ordering behind them.
-func (r *Replica) restoreFromSnapshot(snap wire.Snapshot) error {
-	gens, err := snapshot.DecodeChain(snap.ServiceState)
+// state from snap, adopts its topology, and publishes it for catch-up
+// responders — the one sequence shared by live snapshot installs and
+// crash-restart boot, so both paths rebuild byte-identical state (restart
+// determinism depends on it). The published snapshot is also the chain the
+// next delta cut extends. Entries rebuilt from a snapshot carry
+// executor.Inline: those executions are part of the snapshot, so nothing
+// needs ordering behind them.
+func (r *Replica) restoreFromSnapshot(snap *Snapshot) error {
+	t, err := wire.DecodeTopology(snap.Topo)
 	if err != nil {
-		return fmt.Errorf("core: decode snapshot chain: %w", err)
+		return fmt.Errorf("core: decode snapshot topology: %w", err)
 	}
-	if c, ok := r.svc.(snapshot.Cutter); ok {
-		if err := c.RestoreChunks(gens); err != nil {
-			return fmt.Errorf("core: restore service from snapshot chain: %w", err)
-		}
-	} else {
-		if len(gens) == 0 || !gens[len(gens)-1].Full {
-			return fmt.Errorf("core: snapshot chain has delta generations but the service has no chunk contract")
-		}
-		if err := r.svc.Restore(snapshot.JoinChunks(gens[len(gens)-1].Chunks)); err != nil {
-			return fmt.Errorf("core: restore service from snapshot: %w", err)
-		}
+	if err := r.cutter.RestoreChunks(snap.gens()); err != nil {
+		return fmt.Errorf("core: restore service from snapshot chain: %w", err)
 	}
-	if err := r.replyCache.Restore(snap.ReplyCache); err != nil {
+	if err := r.replyCache.Restore(snapshot.JoinChunks(snap.rc())); err != nil {
 		return fmt.Errorf("core: restore reply cache from snapshot: %w", err)
 	}
 	r.execSeq = make(map[uint64]schedEntry)
 	for client, seq := range r.replyCache.LastSeqs() {
 		r.execSeq[client] = schedEntry{seq: seq, worker: executor.Inline}
 	}
-	chain := make([]memGen, len(gens))
-	for i, g := range gens {
-		chain[i] = memGen{full: g.Full, chunks: g.Chunks}
-	}
-	r.snapChain = chain
 	r.snapshots.put(snap)
-	if len(snap.Topo) > 0 {
-		// The image was cut under an epoch-stamped topology; adopt it (a
-		// no-op unless it is newer than what this replica already knows —
-		// the case where a lagging replica crosses a reconfiguration point
-		// via state transfer instead of replaying the config command).
-		if t, err := wire.DecodeTopology(snap.Topo); err == nil {
-			// Only advance: a snapshot never carries an epoch older than the
-			// config commands already applied (installs only move the state
-			// forward), but a same-epoch stamp must not overwrite smTopo —
-			// the first topology installed for an epoch is the epoch's truth.
-			if r.smTopo == nil || t.Epoch > r.smTopo.Epoch {
-				r.smTopo = t
-			}
-			r.adoptTopology(t, "snapshot")
-		} else {
-			return fmt.Errorf("core: decode snapshot topology: %w", err)
-		}
+	// Only advance smTopo: a snapshot never carries an epoch older than the
+	// config commands already applied (installs only move the state
+	// forward), but a same-epoch stamp must not overwrite it — the first
+	// topology installed for an epoch is the epoch's truth. Adopting is a
+	// no-op unless the snapshot crosses a reconfiguration point this
+	// replica has not applied.
+	if t.Epoch > r.smTopo.Epoch {
+		r.smTopo = t
 	}
+	r.adoptTopology(t, "snapshot")
 	return nil
-}
-
-// persistTransferred durably commits a transferred snapshot's whole chain
-// (chunk files, then the manifest rename) when durability is enabled. A nil
-// result means journaling cuts covered by snap is safe: with no DataDir
-// there is nothing on disk to contradict, and with one the commit landed.
-func (r *Replica) persistTransferred(snap wire.Snapshot) error {
-	if r.snapDisk == nil {
-		return nil
-	}
-	gens, err := snapshot.DecodeChain(snap.ServiceState)
-	if err != nil {
-		return fmt.Errorf("core: decode snapshot chain: %w", err)
-	}
-	return r.snapDisk.replaceChain(snap.LastIncluded, snap.Groups,
-		gens, snapshot.SplitBlob(snap.ReplyCache, r.cfg.SnapshotChunkBytes), snap.Topo)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"log"
+	"sync"
 	"time"
 
 	"gosmr/internal/snapshot"
@@ -12,16 +13,129 @@ import (
 // the whole serialization: the ServiceManager quiesces the workers just
 // long enough to mark a consistent cut (plus marshal the reply cache), then
 // hands the cut to a drainer goroutine that packs chunks, appends the new
-// generation to the in-memory chain, publishes the assembled snapshot, and
-// persists it chunk-by-chunk — all while the workers are already executing
-// again. The cut pause is O(state the service must mark), not O(state
-// serialized): for the copy-on-write KV it is effectively constant.
+// generation to the chain, publishes the snapshot, and persists it
+// chunk-by-chunk — all while the workers are already executing again. The
+// cut pause is O(state the service must mark), not O(state serialized): for
+// the copy-on-write KV it is effectively constant.
 
-// memGen is one in-memory snapshot generation (mirrors snapshot.Gen; kept
-// separate so the core layer owns its chain representation).
-type memGen struct {
-	full   bool
+// Snapshot is one cut as the replica holds it: the manifest that names it
+// (embedded), the manifest's encoding — the bytes the disk commits and a
+// joiner pulls — and the chunks it names, in manifest order. Immutable once
+// built, so the store, the drainer, the Merger and the reader threads share
+// it without copying.
+type Snapshot struct {
+	snapshot.Manifest
+	enc    []byte
 	chunks [][]byte
+}
+
+// newSnapshot assembles the snapshot of a cut at cut: the drained
+// generation, appended to prev's chain unless it is full, then the reply
+// cache's chunks. Only references are copied: the chunk slices are shared
+// with prev.
+func newSnapshot(prev *Snapshot, cut wire.InstanceID, groups int32, topo []byte, full bool, chunks, rc [][]byte) *Snapshot {
+	s := &Snapshot{Manifest: snapshot.Manifest{Cut: cut, Groups: groups, Topo: topo}}
+	if !full {
+		s.Gens = append(s.Gens, prev.Gens...)
+		s.chunks = append(s.chunks, prev.chunks[:len(prev.chunks)-len(prev.RC)]...)
+	}
+	s.Gens = append(s.Gens, snapshot.GenRef{Cut: cut, Full: full, Chunks: chunkRefs(chunks)})
+	s.RC = chunkRefs(rc)
+	s.chunks = append(append(s.chunks, chunks...), rc...)
+	s.enc = s.Encode()
+	return s
+}
+
+func chunkRefs(chunks [][]byte) []snapshot.ChunkRef {
+	refs := make([]snapshot.ChunkRef, len(chunks))
+	for i, c := range chunks {
+		refs[i] = snapshot.RefOf(c)
+	}
+	return refs
+}
+
+// gens returns the service chain, each generation's chunks sliced from
+// s.chunks — the shape Cutter.RestoreChunks takes.
+func (s *Snapshot) gens() []snapshot.Gen {
+	out := make([]snapshot.Gen, len(s.Gens))
+	i := 0
+	for g, gr := range s.Gens {
+		n := len(gr.Chunks)
+		out[g] = snapshot.Gen{Full: gr.Full, Chunks: s.chunks[i : i+n : i+n]}
+		i += n
+	}
+	return out
+}
+
+// rc returns the reply cache's chunks.
+func (s *Snapshot) rc() [][]byte { return s.chunks[len(s.chunks)-len(s.RC):] }
+
+// piece returns what a SnapshotChunkReq names: chunk idx, or page idx of
+// the manifest's encoding in pageBytes pages. ok is false for an index out
+// of range — a peer's request is never trusted to be in it.
+func (s *Snapshot) piece(manifest bool, idx int32, pageBytes int) ([]byte, bool) {
+	if !manifest {
+		if idx < 0 || int(idx) >= len(s.chunks) {
+			return nil, false
+		}
+		return s.chunks[idx], true
+	}
+	off := int64(idx) * int64(pageBytes)
+	if idx < 0 || off >= int64(len(s.enc)) {
+		return nil, false
+	}
+	return s.enc[off:min(off+int64(pageBytes), int64(len(s.enc)))], true
+}
+
+// image returns the snapshot as one byte string — the manifest followed by
+// its chunks in manifest order — for the SnapshotImage debug view. Built on
+// demand; nothing caches it.
+func (s *Snapshot) image() []byte {
+	n := len(s.enc)
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	img := append(make([]byte, 0, n), s.enc...)
+	for _, c := range s.chunks {
+		img = append(img, c...)
+	}
+	return img
+}
+
+// snapshotStore holds the newest snapshot, written by the ServiceManager
+// thread (or its drainer goroutine) and read by the Protocol thread when
+// advertising state transfer and by reader threads when serving pulls. This
+// is one of the paper's sanctioned shared-state exceptions: a single
+// pointer behind a small mutex, never held across blocking operations. The
+// snapshot it points to is immutable, so a pull is served from borrowed
+// slices of it — a page of the manifest or one chunk per frame — and
+// serving copies nothing.
+type snapshotStore struct {
+	mu   sync.Mutex
+	snap *Snapshot
+}
+
+func (s *snapshotStore) put(snap *Snapshot) {
+	s.mu.Lock()
+	s.snap = snap
+	s.mu.Unlock()
+}
+
+// get returns the newest snapshot, or nil before the first.
+func (s *snapshotStore) get() *Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snap
+}
+
+// meta describes the current snapshot for catch-up advertisements (the
+// paxos SnapshotProvider).
+func (s *snapshotStore) meta() (wire.SnapshotMeta, bool) {
+	snap := s.get()
+	if snap == nil {
+		return wire.SnapshotMeta{}, false
+	}
+	return wire.SnapshotMeta{LastIncluded: snap.Cut, Groups: snap.Groups}, true
 }
 
 // drainJob is the handle for one in-flight background drain. done closing
@@ -58,47 +172,10 @@ func (r *Replica) fullCutDue(executedID wire.InstanceID) bool {
 	return (snapIdx-1)%int64(r.cfg.SnapshotMaxChain) == 0
 }
 
-// cutSource marks a cut on the service and returns its chunk source. A
-// service implementing snapshot.Cutter pays only the mark under quiesce; a
-// plain blob service serializes under quiesce (the old linear pause) and
-// the blob is chunked on the way out — so even legacy services never put an
-// unbounded unit on disk or the wire.
-func (r *Replica) cutSource(full bool) (snapshot.Source, bool, error) {
-	if c, ok := r.svc.(snapshot.Cutter); ok {
-		return c.CutSnapshot(full)
-	}
-	blob, err := r.svc.Snapshot()
-	if err != nil {
-		return nil, false, err
-	}
-	return &blobSource{blob: blob}, true, nil
-}
-
-// blobSource adapts a whole-state blob to the chunk-source contract:
-// always a full generation, drained as maxBytes slices of the blob.
-type blobSource struct {
-	blob []byte
-	off  int
-}
-
-func (b *blobSource) Next(maxBytes int) ([]byte, error) {
-	if b.off >= len(b.blob) {
-		return nil, nil
-	}
-	if maxBytes < 1 {
-		maxBytes = 1
-	}
-	n := min(len(b.blob)-b.off, maxBytes)
-	c := b.blob[b.off : b.off+n : b.off+n]
-	b.off += n
-	return c, nil
-}
-
-func (b *blobSource) Close() {}
-
 // runDrain is the drainer goroutine: everything a snapshot does after the
-// cut, concurrent with execution. It owns r.snapChain and r.snapDisk until
-// it closes job.done. Log truncation is requested only after the manifest
+// cut, concurrent with execution. It owns the chain (the store's newest
+// snapshot, which a delta cut extends) and r.snapDisk until it closes
+// job.done. Log truncation is requested only after the manifest
 // commit — persist-before-truncate, unchanged from the all-at-once design,
 // just at manifest granularity now.
 func (r *Replica) runDrain(job *drainJob, src snapshot.Source, cut wire.InstanceID, full bool, rc, topo []byte) {
@@ -109,27 +186,13 @@ func (r *Replica) runDrain(job *drainJob, src snapshot.Source, cut wire.Instance
 		job.failed = true
 		return
 	}
-	if full {
-		r.snapChain = r.snapChain[:0]
-	}
-	r.snapChain = append(r.snapChain, memGen{full: full, chunks: chunks})
-	gens := make([]snapshot.Gen, len(r.snapChain))
-	for i, g := range r.snapChain {
-		gens[i] = snapshot.Gen{Full: g.full, Chunks: g.chunks}
-	}
-	snap := wire.Snapshot{
-		LastIncluded: cut,
-		ServiceState: snapshot.EncodeChain(gens),
-		ReplyCache:   rc,
-		Groups:       int32(len(r.groups)),
-		Topo:         topo,
-	}
+	snap := newSnapshot(r.snapshots.get(), cut, int32(len(r.groups)), topo, full, chunks,
+		snapshot.SplitBlob(rc, r.cfg.SnapshotChunkBytes))
 	// Publish before persisting: catch-up state transfer serves from memory,
 	// so a replica with a sick disk still helps lagging peers.
 	r.snapshots.put(snap)
 	if r.snapDisk != nil {
-		if err := r.snapDisk.appendGen(cut, snap.Groups, full, chunks,
-			snapshot.SplitBlob(rc, r.cfg.SnapshotChunkBytes), topo); err != nil {
+		if err := r.snapDisk.appendGen(snap); err != nil {
 			// Keep the full WAL until a snapshot lands durably; the next cut
 			// is forced full so the disk chain never references a missing
 			// generation. Out-of-space additionally sheds WAL catch-up

@@ -16,22 +16,27 @@ import (
 )
 
 // snapDisk owns the durable snapshot layout under DataDir/snapshots/. A
-// snapshot never touches disk as one unbounded file: each cut's chunks are
-// written as individual size-capped chunk files inside a generation
-// directory, and a manifest ties the chain of generations together:
+// snapshot lands on disk in its one format: its manifest's encoding is the
+// commit record, and every chunk the manifest names is its own size-capped
+// file in the directory of its generation:
 //
 //	snapshots/
-//	  manifest-<cut>.mf        committed chain: gen list + chunk checksums
-//	  gen-<cut>-00/            one generation (full or delta)
-//	    svc-00000.chk ...      service chunks, each ≤ SnapshotChunkBytes
-//	    rc-00000.chk ...       reply-cache chunks (newest generation only)
-//	  gen-<cut>-01/ ...
-//	  pull-<cut>.part          state-transfer staging (resumable)
+//	  manifest-<cut>.mf      the manifest (internal/snapshot.Manifest)
+//	  gen-<cut>-<id>/        one generation (full or delta), cut at <cut>
+//	    svc-00000.chk ...    its chunks, each ≤ SnapshotChunkBytes
+//	    rc-00000.chk ...     reply-cache chunks (newest generation only)
+//
+// A generation directory's name derives from the manifest's entry for it —
+// the generation's cut and <id>, a checksum of its chunk list — so the
+// manifest holds no paths, every manifest sharing a generation finds it in
+// the same place, and two different generations at one cut never share a
+// directory.
 //
 // The manifest rename is the commit point: chunk files are written and
-// fsynced first, then the manifest (temp, fsync, rename, fsync dir)
+// fsynced first (by the drainer for a local cut, by the pull for a
+// transferred one), then the manifest (temp, fsync, rename, fsync dir)
 // atomically switches boot to the new chain. A delta snapshot writes only
-// its own generation directory and a fresh manifest referencing the prior
+// its own generation directory and a manifest referencing the prior
 // generations in place — steady-state disk traffic scales with churn, not
 // with total state size.
 //
@@ -39,142 +44,120 @@ import (
 // (never both at once: the drain handle serializes them), so snapDisk needs
 // no lock.
 type snapDisk struct {
-	dir      string
-	fs       vfs.FS
-	chunkCap int
-	gens     []diskGen  // chain referenced by the newest committed manifest
-	rc       []chunkRef // reply-cache chunk refs (files live in the last gen's dir)
+	dir string
+	fs  vfs.FS
 }
 
-// diskGen is one on-disk generation.
-type diskGen struct {
-	dir    string // directory name relative to snapDisk.dir
-	full   bool
-	chunks []chunkRef
-}
-
-// chunkRef is the manifest's record of one chunk file; the manifest, not
-// the file, is the authority for its size and checksum.
-type chunkRef struct{ size, crc uint32 }
-
-func newSnapDisk(dir string, chunkCap int, fsys vfs.FS) *snapDisk {
+func newSnapDisk(dir string, fsys vfs.FS) *snapDisk {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	return &snapDisk{dir: dir, fs: fsys, chunkCap: chunkCap}
+	return &snapDisk{dir: dir, fs: fsys}
 }
-
-const (
-	manifestMagic = 0x4D4E5347 // "GSNM"
-	// Version 1 has no topology section; version 2 appends the encoded
-	// topology of the epoch the snapshot was cut under. Epoch-0 commits
-	// still write version 1 byte-for-byte, and boot accepts both.
-	manifestVersion     = 1
-	manifestVersionTopo = 2
-)
 
 func manifestName(cut wire.InstanceID) string {
 	return fmt.Sprintf("manifest-%016x.mf", uint64(cut))
 }
 
-func genDirName(cut wire.InstanceID, pos int) string {
-	return fmt.Sprintf("gen-%016x-%02d", uint64(cut), pos)
-}
-
-func pullPartName(cut wire.InstanceID) string {
-	return fmt.Sprintf("pull-%016x.part", uint64(cut))
-}
-
-// appendGen commits one locally cut generation: writes its chunk files,
-// then a manifest referencing the existing chain plus the new generation.
-// full resets the chain to just the new generation. rcChunks is the current
-// reply cache, pre-split; it replaces the previous manifest's reply-cache
-// refs (the cache is always persisted whole, but never as one unbounded
-// file).
-func (s *snapDisk) appendGen(cut wire.InstanceID, groups int32, full bool, chunks, rcChunks [][]byte, topo []byte) error {
-	chain := s.gens
-	if full {
-		chain = nil
+func genDirName(g snapshot.GenRef) string {
+	var b [8]byte
+	if g.Full {
+		b[0] = 1
 	}
-	gdir := genDirName(cut, len(chain))
-	refs, err := s.writeGenDir(gdir, chunks, rcChunks)
-	if err != nil {
+	sum := crc32.ChecksumIEEE(b[:1])
+	for _, c := range g.Chunks {
+		binary.LittleEndian.PutUint32(b[:], c.Len)
+		binary.LittleEndian.PutUint32(b[4:], c.CRC)
+		sum = crc32.Update(sum, crc32.IEEETable, b[:])
+	}
+	return fmt.Sprintf("gen-%016x-%08x", uint64(g.Cut), sum)
+}
+
+// layout maps a manifest's chunks to their files.
+type layout struct {
+	m    *snapshot.Manifest
+	dirs []string // each generation's directory
+}
+
+func (s *snapDisk) layout(m *snapshot.Manifest) layout {
+	l := layout{m: m, dirs: make([]string, len(m.Gens))}
+	for g, gr := range m.Gens {
+		l.dirs[g] = filepath.Join(s.dir, genDirName(gr))
+	}
+	return l
+}
+
+// path is where chunk i lives.
+func (l layout) path(i int) string {
+	g, j := l.m.Locate(i)
+	if g == len(l.m.Gens) {
+		return filepath.Join(l.dirs[g-1], fmt.Sprintf("rc-%05d.chk", j))
+	}
+	return filepath.Join(l.dirs[g], fmt.Sprintf("svc-%05d.chk", j))
+}
+
+// appendGen commits one locally cut snapshot: writes the chunk files of its
+// newest generation and of the reply cache, fsyncs them and their
+// directory, then commits the manifest. A delta's older generations are on
+// disk already, where the manifest names them. The directory fsync is
+// checked: a chunk whose directory entry is not durable is as good as
+// unwritten, so its failure is a persist failure (degrade + retry), not
+// noise to swallow.
+func (s *snapDisk) appendGen(snap *Snapshot) error {
+	l := s.layout(&snap.Manifest)
+	gdir := l.dirs[len(l.dirs)-1]
+	if err := s.fs.MkdirAll(gdir, 0o755); err != nil {
 		return err
 	}
-	next := make([]diskGen, len(chain), len(chain)+1)
-	copy(next, chain)
-	next = append(next, diskGen{dir: gdir, full: full, chunks: refs})
-	rcRefs := chunkRefs(rcChunks)
-	if err := s.writeManifest(cut, groups, next, rcRefs, topo); err != nil {
-		return err
-	}
-	s.gens, s.rc = next, rcRefs
-	s.gc(cut)
-	return nil
-}
-
-// replaceChain commits a transferred snapshot chain wholesale (state
-// transfer install). Every generation gets its own directory stamped with
-// the install cut; the reply cache lands in the last one.
-func (s *snapDisk) replaceChain(cut wire.InstanceID, groups int32, gens []snapshot.Gen, rcChunks [][]byte, topo []byte) error {
-	next := make([]diskGen, 0, len(gens))
-	for i, g := range gens {
-		gdir := genDirName(cut, i)
-		var rc [][]byte
-		if i == len(gens)-1 {
-			rc = rcChunks
-		}
-		refs, err := s.writeGenDir(gdir, g.Chunks, rc)
-		if err != nil {
+	first := len(snap.chunks) - len(snap.RC) - len(snap.Gens[len(snap.Gens)-1].Chunks)
+	for i := first; i < len(snap.chunks); i++ {
+		if err := writeFileSync(s.fs, l.path(i), snap.chunks[i]); err != nil {
 			return err
 		}
-		next = append(next, diskGen{dir: gdir, full: g.Full, chunks: refs})
 	}
-	rcRefs := chunkRefs(rcChunks)
-	if err := s.writeManifest(cut, groups, next, rcRefs, topo); err != nil {
+	if err := s.fs.SyncDir(gdir); err != nil {
 		return err
 	}
-	s.gens, s.rc = next, rcRefs
-	s.gc(cut)
+	return s.commit(snap)
+}
+
+// staged returns chunk i of a manifest being pulled when it is on disk
+// already and matches its manifest entry — what a resumed pull skips — or
+// nil.
+func (s *snapDisk) staged(l layout, i int) []byte {
+	data, err := s.fs.ReadFile(l.path(i))
+	if err != nil || !l.m.Ref(i).Matches(data) {
+		return nil
+	}
+	return data
+}
+
+// stage writes chunk i of a manifest being pulled straight into its
+// generation directory and fsyncs it. It never writes into a directory a
+// committed manifest references (live): such a generation is identical to
+// the pulled one by its name, so a chunk missing there is damage to the
+// committed chain, not something a pull may overwrite.
+func (s *snapDisk) stage(l layout, i int, data []byte, live map[string]bool) error {
+	path := l.path(i)
+	gdir := filepath.Dir(path)
+	if live[filepath.Base(gdir)] {
+		return fmt.Errorf("chunk %d of snapshot %d is damaged in committed generation %s", i, l.m.Cut, gdir)
+	}
+	if err := s.fs.MkdirAll(gdir, 0o755); err != nil {
+		return err
+	}
+	return writeFileSync(s.fs, path, data)
+}
+
+// syncGens fsyncs the generation directories of a fully staged manifest, so
+// every chunk's directory entry is durable before the commit.
+func (s *snapDisk) syncGens(l layout) error {
+	for _, gdir := range l.dirs {
+		if err := s.fs.SyncDir(gdir); err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-func chunkRefs(chunks [][]byte) []chunkRef {
-	refs := make([]chunkRef, len(chunks))
-	for i, c := range chunks {
-		refs[i] = chunkRef{size: uint32(len(c)), crc: crc32.ChecksumIEEE(c)}
-	}
-	return refs
-}
-
-// writeGenDir writes one generation directory: each chunk its own file,
-// fsynced, then the directory itself. Chunk files need no atomic rename —
-// nothing references them until a later manifest commit. The directory
-// fsync is checked: a chunk whose directory entry is not durable is as good
-// as unwritten, so its failure is a persist failure (degrade + retry), not
-// noise to swallow.
-func (s *snapDisk) writeGenDir(gdir string, chunks, rcChunks [][]byte) ([]chunkRef, error) {
-	abs := filepath.Join(s.dir, gdir)
-	if err := s.fs.MkdirAll(abs, 0o755); err != nil {
-		return nil, err
-	}
-	for i, c := range chunks {
-		if err := writeFileSync(s.fs, filepath.Join(abs, fmt.Sprintf("svc-%05d.chk", i)), c); err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			crashPoint("persist-chunk")
-		}
-	}
-	for i, c := range rcChunks {
-		if err := writeFileSync(s.fs, filepath.Join(abs, fmt.Sprintf("rc-%05d.chk", i)), c); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.fs.SyncDir(abs); err != nil {
-		return nil, err
-	}
-	return chunkRefs(chunks), nil
 }
 
 func writeFileSync(fsys vfs.FS, path string, data []byte) error {
@@ -193,49 +176,15 @@ func writeFileSync(fsys vfs.FS, path string, data []byte) error {
 	return f.Close()
 }
 
-// writeManifest durably commits a chain (temp, fsync, rename, fsync dir).
-func (s *snapDisk) writeManifest(cut wire.InstanceID, groups int32, gens []diskGen, rc []chunkRef, topo []byte) error {
-	ver := uint32(manifestVersion)
-	if len(topo) > 0 {
-		ver = manifestVersionTopo
-	}
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, manifestMagic)
-	b = binary.LittleEndian.AppendUint32(b, ver)
-	b = binary.LittleEndian.AppendUint64(b, uint64(cut))
-	b = binary.LittleEndian.AppendUint32(b, uint32(groups))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(gens)))
-	for _, g := range gens {
-		if g.full {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(g.dir)))
-		b = append(b, g.dir...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(g.chunks)))
-		for _, c := range g.chunks {
-			b = binary.LittleEndian.AppendUint32(b, c.size)
-			b = binary.LittleEndian.AppendUint32(b, c.crc)
-		}
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rc)))
-	for _, c := range rc {
-		b = binary.LittleEndian.AppendUint32(b, c.size)
-		b = binary.LittleEndian.AppendUint32(b, c.crc)
-	}
-	if ver >= manifestVersionTopo {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(topo)))
-		b = append(b, topo...)
-	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-
+// commit durably commits snap's manifest (temp, fsync, rename, fsync dir)
+// and then collects what the retained manifests no longer need.
+func (s *snapDisk) commit(snap *Snapshot) error {
 	if err := s.fs.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, manifestName(cut))
+	path := filepath.Join(s.dir, manifestName(snap.Cut))
 	tmp := path + ".tmp"
-	if err := writeFileSync(s.fs, tmp, b); err != nil {
+	if err := writeFileSync(s.fs, tmp, snap.enc); err != nil {
 		return err
 	}
 	if err := s.fs.Rename(tmp, path); err != nil {
@@ -244,92 +193,11 @@ func (s *snapDisk) writeManifest(cut wire.InstanceID, groups int32, gens []diskG
 	// Checked: until the rename's directory entry is durable the commit has
 	// not happened — reporting success on a failed dir fsync would let WAL
 	// checkpoints reference a snapshot a crash can un-commit.
-	return s.fs.SyncDir(s.dir)
-}
-
-// decodeManifest parses and verifies a manifest image. Counts are validated
-// against the remaining bytes before any allocation.
-func decodeManifest(b []byte) (cut wire.InstanceID, groups int32, gens []diskGen, rc []chunkRef, topo []byte, err error) {
-	fail := func(msg string) (wire.InstanceID, int32, []diskGen, []chunkRef, []byte, error) {
-		return 0, 0, nil, nil, nil, fmt.Errorf("manifest %s", msg)
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		return err
 	}
-	if len(b) < 28 {
-		return fail("too short")
-	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return fail("checksum mismatch")
-	}
-	ver := binary.LittleEndian.Uint32(body[4:])
-	if binary.LittleEndian.Uint32(body) != manifestMagic ||
-		(ver != manifestVersion && ver != manifestVersionTopo) {
-		return fail("bad header")
-	}
-	cut = wire.InstanceID(binary.LittleEndian.Uint64(body[8:]))
-	groups = int32(binary.LittleEndian.Uint32(body[16:]))
-	rest := body[20:]
-	takeU32 := func() (uint32, bool) {
-		if len(rest) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		return v, true
-	}
-	takeRefs := func() ([]chunkRef, bool) {
-		n, ok := takeU32()
-		if !ok || uint64(n)*8 > uint64(len(rest)) {
-			return nil, false
-		}
-		refs := make([]chunkRef, n)
-		for i := range refs {
-			refs[i].size, _ = takeU32()
-			refs[i].crc, _ = takeU32()
-		}
-		return refs, true
-	}
-	ngens, ok := takeU32()
-	if !ok || uint64(ngens)*9 > uint64(len(rest)) {
-		return fail("truncated")
-	}
-	gens = make([]diskGen, 0, ngens)
-	for i := uint32(0); i < ngens; i++ {
-		if len(rest) < 1 {
-			return fail("truncated")
-		}
-		full := rest[0] == 1
-		rest = rest[1:]
-		dlen, ok := takeU32()
-		if !ok || uint64(dlen) > uint64(len(rest)) {
-			return fail("truncated")
-		}
-		dir := string(rest[:dlen])
-		rest = rest[dlen:]
-		if dir == "" || strings.ContainsAny(dir, "/\\") {
-			return fail("bad generation dir")
-		}
-		refs, ok := takeRefs()
-		if !ok {
-			return fail("truncated")
-		}
-		gens = append(gens, diskGen{dir: dir, full: full, chunks: refs})
-	}
-	rc, ok = takeRefs()
-	if !ok {
-		return fail("truncated")
-	}
-	if ver >= manifestVersionTopo {
-		tlen, ok := takeU32()
-		if !ok || uint64(tlen) > uint64(len(rest)) {
-			return fail("truncated")
-		}
-		topo = append([]byte(nil), rest[:tlen]...)
-		rest = rest[tlen:]
-	}
-	if len(rest) != 0 {
-		return fail("trailing bytes")
-	}
-	return cut, groups, gens, rc, topo, nil
+	s.gc(snap.Cut)
+	return nil
 }
 
 // manifestFiles lists committed manifest names in ascending cut order.
@@ -356,19 +224,6 @@ func manifestFiles(fsys vfs.FS, dir string) ([]string, error) {
 	return names, nil
 }
 
-// readChunk loads one chunk file and verifies it against its manifest ref.
-func (s *snapDisk) readChunk(gdir, name string, ref chunkRef) ([]byte, error) {
-	path := filepath.Join(s.dir, gdir, name)
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(data)) != ref.size || crc32.ChecksumIEEE(data) != ref.crc {
-		return nil, fmt.Errorf("chunk %s: size/checksum mismatch", path)
-	}
-	return data, nil
-}
-
 // loadNewest assembles the newest intact snapshot chain, or nil when none
 // exists, plus the names of any newer manifests it had to skip. A corrupt
 // manifest or chunk file (a crash mid-write, bit rot) falls back to the
@@ -379,9 +234,8 @@ func (s *snapDisk) readChunk(gdir, name string, ref chunkRef) ([]byte, error) {
 // count a dead manifest against the two-newest window. A skipped newest
 // snapshot can still make boot fall behind the WALs' cuts, so each
 // quarantine is logged with its decode error and the names are returned for
-// the refusal message. On success the committed chain is adopted as the
-// in-memory chain state, so the next delta append extends it.
-func (s *snapDisk) loadNewest() (*wire.Snapshot, []string, error) {
+// the refusal message.
+func (s *snapDisk) loadNewest() (*Snapshot, []string, error) {
 	names, err := manifestFiles(s.fs, s.dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -391,7 +245,7 @@ func (s *snapDisk) loadNewest() (*wire.Snapshot, []string, error) {
 	}
 	var skipped []string
 	for i := len(names) - 1; i >= 0; i-- {
-		snap, gens, rc, err := s.loadManifest(names[i])
+		snap, err := s.loadManifest(names[i])
 		if err != nil {
 			path := filepath.Join(s.dir, names[i])
 			if rerr := s.fs.Rename(path, path+".corrupt"); rerr != nil {
@@ -405,61 +259,72 @@ func (s *snapDisk) loadNewest() (*wire.Snapshot, []string, error) {
 			skipped = append(skipped, names[i])
 			continue
 		}
-		s.gens, s.rc = gens, rc
 		return snap, skipped, nil
 	}
 	return nil, skipped, nil
 }
 
-func (s *snapDisk) loadManifest(name string) (*wire.Snapshot, []diskGen, []chunkRef, error) {
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
+// loadManifest reads a committed manifest and every chunk it names, each
+// verified against its entry, into the snapshot boot restores.
+func (s *snapDisk) loadManifest(name string) (*Snapshot, error) {
+	enc, err := s.fs.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cut, groups, gens, rcRefs, topo, err := decodeManifest(data)
+	m, err := snapshot.DecodeManifest(enc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	chain := make([]snapshot.Gen, len(gens))
-	for i, g := range gens {
-		chain[i].Full = g.full
-		chain[i].Chunks = make([][]byte, len(g.chunks))
-		for j, ref := range g.chunks {
-			c, err := s.readChunk(g.dir, fmt.Sprintf("svc-%05d.chk", j), ref)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			chain[i].Chunks[j] = c
-		}
+	if manifestName(m.Cut) != name {
+		return nil, fmt.Errorf("manifest %s holds cut %d", name, m.Cut)
 	}
-	rcChunks := make([][]byte, len(rcRefs))
-	rcDir := ""
-	if len(gens) > 0 {
-		rcDir = gens[len(gens)-1].dir
-	}
-	for j, ref := range rcRefs {
-		c, err := s.readChunk(rcDir, fmt.Sprintf("rc-%05d.chk", j), ref)
+	snap := &Snapshot{Manifest: *m, enc: enc, chunks: make([][]byte, m.NumChunks())}
+	l := s.layout(m)
+	for i := range snap.chunks {
+		path := l.path(i)
+		data, err := s.fs.ReadFile(path)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		rcChunks[j] = c
+		if !m.Ref(i).Matches(data) {
+			return nil, fmt.Errorf("chunk %s: size/checksum mismatch", path)
+		}
+		snap.chunks[i] = data
 	}
-	snap := &wire.Snapshot{
-		LastIncluded: cut,
-		ServiceState: snapshot.EncodeChain(chain),
-		ReplyCache:   snapshot.JoinChunks(rcChunks),
-		Groups:       groups,
-		Topo:         topo,
+	return snap, nil
+}
+
+// referenced returns the generation directories the two retained (newest)
+// manifests name.
+func (s *snapDisk) referenced() (map[string]bool, error) {
+	names, err := manifestFiles(s.fs, s.dir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
-	return snap, gens, rcRefs, nil
+	live := make(map[string]bool)
+	for _, name := range names[max(0, len(names)-2):] {
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
+		if err != nil {
+			return nil, err
+		}
+		m, err := snapshot.DecodeManifest(data)
+		if err != nil {
+			return nil, err
+		}
+		for _, g := range m.Gens {
+			live[genDirName(g)] = true
+		}
+	}
+	return live, nil
 }
 
 // gc prunes everything the two newest manifests do not reference: older
-// manifests, orphaned generation directories, stale temp files, and
-// completed pull staging files. Keeping the second-newest manifest covers a
-// crash interleaved with the WAL checkpoints that reference it (same
-// retention the pre-chunked snapshot files had). Best-effort: gc errors
-// never fail a commit.
+// manifests, orphaned generation directories and stale temp files.
+// Keeping the second-newest manifest covers a crash interleaved with the
+// WAL checkpoints that reference it. A generation cut above the newest
+// commit survives too: it belongs to a pull in progress — kept for resume —
+// or to a cut whose commit failed, and goes once a manifest at or above its
+// cut commits. Best-effort: gc errors never fail a commit.
 func (s *snapDisk) gc(newest wire.InstanceID) {
 	names, err := manifestFiles(s.fs, s.dir)
 	if err != nil {
@@ -470,22 +335,11 @@ func (s *snapDisk) gc(newest wire.InstanceID) {
 		// re-collected after the next commit.
 		_ = s.fs.Remove(filepath.Join(s.dir, name))
 	}
-	// Collect directories referenced by the surviving manifests. If one of
-	// them does not decode, keep all generation directories — deleting
-	// blind risks the next boot's fallback.
-	referenced := make(map[string]bool)
-	for _, name := range names[max(0, len(names)-2):] {
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return
-		}
-		_, _, gens, _, _, err := decodeManifest(data)
-		if err != nil {
-			return
-		}
-		for _, g := range gens {
-			referenced[g.dir] = true
-		}
+	// If a surviving manifest does not decode, keep all generation
+	// directories — deleting blind risks the next boot's fallback.
+	live, err := s.referenced()
+	if err != nil {
+		return
 	}
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -493,23 +347,18 @@ func (s *snapDisk) gc(newest wire.InstanceID) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		var cut uint64
 		switch {
-		case e.IsDir() && strings.HasPrefix(name, "gen-") && !referenced[name]:
+		case e.IsDir() && strings.HasPrefix(name, "gen-") && !live[name]:
+			if _, err := fmt.Sscanf(name, "gen-%016x-", &cut); err == nil && wire.InstanceID(cut) > newest {
+				continue
+			}
 			// best-effort: an orphaned generation dir costs space, not
 			// correctness, and is retried next commit.
 			_ = s.fs.RemoveAll(filepath.Join(s.dir, name))
 		case strings.HasSuffix(name, ".tmp"):
 			// best-effort: same.
 			_ = s.fs.Remove(filepath.Join(s.dir, name))
-		case strings.HasPrefix(name, "pull-") && strings.HasSuffix(name, ".part"):
-			// A staging file for a cut at or below the committed chain is
-			// finished or obsolete; one for a newer cut is an in-progress
-			// pull and must survive for resume.
-			var u uint64
-			if _, err := fmt.Sscanf(name, "pull-%016x.part", &u); err == nil && wire.InstanceID(u) <= newest {
-				// best-effort: a finished staging file only costs space.
-				_ = s.fs.Remove(filepath.Join(s.dir, name))
-			}
 		}
 	}
 }

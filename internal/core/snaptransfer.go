@@ -2,24 +2,26 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"gosmr/internal/vfs"
+	"gosmr/internal/snapshot"
 	"gosmr/internal/wire"
 )
 
-// Chunked, resumable snapshot transfer. Catch-up no longer ships a snapshot
-// inline: the responder advertises SnapshotMeta, and the lagging replica
-// pulls the snapshot's serialized image with SnapshotChunkReq/SnapshotChunk
-// rounds — one outstanding request, each frame capped at
-// SnapshotChunkBytes, so the pull is self-clocked (its rate is bounded by
-// one frame per round trip) and a snapshot never crosses the wire as a
-// single unbounded unit. Received bytes are staged in
-// DataDir/snapshots/pull-<cut>.part, fsynced per chunk; after a restart or
-// reconnect the pull resumes from the staged size instead of byte 0.
+// Snapshot transfer. Catch-up never ships a snapshot inline: the responder
+// advertises SnapshotMeta, and the lagging replica pulls the snapshot in its
+// one format — first the manifest, then every chunk the manifest names, by
+// (cut, chunk index) — with SnapshotChunkReq/SnapshotChunk rounds. One
+// request is outstanding at a time and each answer is one chunk, so the
+// pull is self-clocked and nothing crosses the wire as a single unbounded
+// unit. Each chunk is checked against its manifest entry (length and
+// CRC32) before it is kept: a donor whose chain differs at the cut —
+// forceFull can make two donors' chains differ — fails the check, and the
+// chunk is asked of another peer. With a DataDir each chunk goes straight
+// into its final generation directory, fsynced, so the install only commits
+// the manifest; a broken pull, after a reconnect or a restart, skips the
+// chunks already on disk that match the manifest.
 
 // snapPuller routes SnapshotChunk responses from the reader threads to the
 // ServiceManager's synchronous pull loop. Only one pull is ever active.
@@ -33,9 +35,10 @@ type snapPuller struct {
 // pulledChunk is one delivered response; data is an owned copy (the wire
 // frame recycles when the reader moves on).
 type pulledChunk struct {
-	offset, total uint64
-	ok            bool
-	data          []byte
+	manifest bool
+	index    int32
+	ok       bool
+	data     []byte
 }
 
 func (p *snapPuller) begin(cut wire.InstanceID) {
@@ -71,204 +74,182 @@ func (p *snapPuller) deliver(m *wire.SnapshotChunk) {
 	data := make([]byte, len(m.Data))
 	copy(data, m.Data)
 	select {
-	case p.resp <- pulledChunk{offset: m.Offset, total: m.Total, ok: m.OK, data: data}:
+	case p.resp <- pulledChunk{manifest: m.Manifest, index: m.Index, ok: m.OK, data: data}:
 	default:
 	}
 }
 
-// serveSnapshotChunk answers a peer's chunk request from the image store.
-// Runs on the reader thread that decoded the request — the store lookup is
-// a mutex-guarded slice, never blocking on I/O — and respects the smaller
-// of the requester's and this replica's frame caps. Data borrows the
-// store's immutable image; the send path encodes it before the store can
-// swap generations... and even a swap only drops the old image's last
-// reference, it never rewrites the bytes.
+// serveSnapshotChunk answers a peer's request from the newest snapshot. Runs
+// on the reader thread that decoded the request — a mutex-guarded pointer
+// load, never blocking on I/O. Data borrows the immutable snapshot, which a
+// newer one replaces but never rewrites. A request for another cut or out
+// of range is refused (OK=false).
 func (r *Replica) serveSnapshotChunk(peer int, m *wire.SnapshotChunkReq) {
-	maxBytes := int(m.MaxBytes)
-	if maxBytes <= 0 || maxBytes > r.cfg.SnapshotChunkBytes {
-		maxBytes = r.cfg.SnapshotChunkBytes
-	}
 	resp := wire.NewSnapshotChunk()
-	resp.Cut, resp.Offset = m.Cut, m.Offset
-	resp.Data, resp.Total, resp.OK = r.snapshots.readAt(m.Cut, m.Offset, maxBytes)
+	resp.Cut, resp.Manifest, resp.Index = m.Cut, m.Manifest, m.Index
+	if snap := r.snapshots.get(); snap != nil && snap.Cut == m.Cut {
+		resp.Data, resp.OK = snap.piece(m.Manifest, m.Index, r.cfg.SnapshotChunkBytes)
+	}
 	r.enqueueSend(peer, 0, resp)
 }
 
-// pullSnapshot fetches the advertised snapshot image chunk by chunk and
-// decodes it. Requests go to group 0's leader hint first and rotate through
-// the peers on timeout or refusal. Synchronous on the ServiceManager
-// thread; aborts on shutdown. The staging file survives an error return —
-// that is the resume state — but a staged image that fails verification is
-// discarded so the next attempt starts clean.
-func (r *Replica) pullSnapshot(meta wire.SnapshotMeta) (*wire.Snapshot, error) {
-	stage, err := r.openPullStage(meta)
+// pullSnapshot fetches the advertised snapshot: its manifest, then each
+// chunk not already staged. Requests go to group 0's leader hint first and
+// rotate through the peers on timeout, refusal or a failed check.
+// Synchronous on the ServiceManager thread; aborts on shutdown. Staged
+// chunks survive an error return — they are the resume state.
+func (r *Replica) pullSnapshot(meta wire.SnapshotMeta) (*Snapshot, error) {
+	r.puller.begin(meta.LastIncluded)
+	defer r.puller.end()
+	p := r.newPull(meta.LastIncluded)
+	defer p.timer.Stop()
+
+	enc, m, err := p.manifest()
 	if err != nil {
 		return nil, err
 	}
-	defer stage.close()
-	r.puller.begin(meta.LastIncluded)
-	defer r.puller.end()
-
-	topo := r.topo.Load()
-	target := int(r.groups[0].leaderHint.Load())
-	rotate := func() {
-		// Next active peer in ID order, wrapping; skips self and removed IDs.
-		for range len(topo.Peers) {
-			target = (target + 1) % len(topo.Peers)
-			if target != r.cfg.ID && topo.Active(target) {
-				return
-			}
-		}
+	if int(m.Groups) != meta.GroupCount() {
+		return nil, fmt.Errorf("snapshot %d has %d groups, advertised %d", m.Cut, m.Groups, meta.GroupCount())
 	}
-	if target == r.cfg.ID || !topo.Active(target) {
-		target = r.cfg.ID
-		rotate()
-	}
-	misses := 0
-	for stage.size < meta.TotalBytes {
-		if misses > 4*topo.N() {
-			return nil, fmt.Errorf("pull stalled at %d/%d bytes", stage.size, meta.TotalBytes)
+	var live map[string]bool
+	var l layout
+	if r.snapDisk != nil {
+		if live, err = r.snapDisk.referenced(); err != nil {
+			return nil, err
 		}
-		req := wire.NewSnapshotChunkReq()
-		req.Cut, req.Offset, req.MaxBytes = meta.LastIncluded, stage.size, uint32(r.cfg.SnapshotChunkBytes)
-		r.enqueueSend(target, 0, req)
-	wait:
-		select {
-		case <-r.stop:
-			return nil, fmt.Errorf("replica stopping")
-		case c := <-r.puller.resp:
-			if !c.ok || c.total != meta.TotalBytes {
-				// Responder moved past this cut (or serves a different
-				// image); try the next peer, and let catch-up re-advertise
-				// if everyone has.
-				misses++
-				rotate()
+		l = r.snapDisk.layout(m)
+	}
+	snap := &Snapshot{Manifest: *m, enc: enc, chunks: make([][]byte, m.NumChunks())}
+	for i := range snap.chunks {
+		if r.snapDisk != nil {
+			if c := r.snapDisk.staged(l, i); c != nil {
+				snap.chunks[i] = c
+				r.transferResumed.Add(uint64(len(c)))
 				continue
 			}
-			if c.offset != stage.size || len(c.data) == 0 ||
-				len(c.data) > r.cfg.SnapshotChunkBytes {
-				goto wait // stale duplicate from an earlier round: ignore it
-			}
-			if err := stage.append(c.data); err != nil {
+		}
+		c, err := p.fetch(false, int32(i), m.Ref(i).Matches)
+		if err != nil {
+			return nil, err
+		}
+		if r.snapDisk != nil {
+			if err := r.snapDisk.stage(l, i, c, live); err != nil {
 				return nil, err
 			}
 			crashPoint("transfer-chunk")
-			misses = 0
-		case <-time.After(catchUpTimeout):
-			misses++
-			rotate()
 		}
+		snap.chunks[i] = c
 	}
-	img, err := stage.bytes()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := decodeSnapshotFile(img)
-	if err != nil || snap.LastIncluded != meta.LastIncluded || snap.GroupCount() != meta.GroupCount() {
-		// A bad assembled image means the staged prefix mixed donors or
-		// rotted; drop it so the retry restarts from byte 0.
-		stage.discard()
-		if err == nil {
-			err = fmt.Errorf("assembled snapshot does not match its advertisement")
-		}
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// pullStage accumulates the image — in DataDir/snapshots/pull-<cut>.part
-// when durability is enabled (each chunk fsynced, so a kill -9 at any chunk
-// boundary resumes from the staged size), in memory otherwise.
-type pullStage struct {
-	fs   vfs.FS
-	f    vfs.File
-	path string
-	mem  []byte
-	size uint64
-}
-
-func (r *Replica) openPullStage(meta wire.SnapshotMeta) (*pullStage, error) {
-	if r.snapDisk == nil {
-		return &pullStage{}, nil
-	}
-	fsys := r.snapDisk.fs
-	if err := fsys.MkdirAll(r.snapDisk.dir, 0o755); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(r.snapDisk.dir, pullPartName(meta.LastIncluded))
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // best-effort: the stage is abandoned on this path
-		return nil, err
-	}
-	size := uint64(st.Size())
-	if size > meta.TotalBytes {
-		// Staged for a differently sized image of the same cut: start over.
-		if err := f.Truncate(0); err != nil {
-			_ = f.Close() // best-effort: the stage is abandoned on this path
+	if r.snapDisk != nil {
+		if err := r.snapDisk.syncGens(l); err != nil {
 			return nil, err
 		}
-		size = 0
 	}
-	if size > 0 {
-		r.transferResumed.Add(size)
-	}
-	if _, err := f.Seek(int64(size), 0); err != nil {
-		_ = f.Close() // best-effort: the stage is abandoned on this path
-		return nil, err
-	}
-	return &pullStage{fs: fsys, f: f, path: path, size: size}, nil
+	return snap, nil
 }
 
-func (s *pullStage) append(data []byte) error {
-	if s.f == nil {
-		s.mem = append(s.mem, data...)
-		s.size += uint64(len(data))
-		return nil
+// pull is one pull's request state: the peer asked next and how many
+// requests in a row went unanswered or failed their check.
+type pull struct {
+	r      *Replica
+	cut    wire.InstanceID
+	topo   *wire.Topology
+	target int
+	misses int
+	timer  *time.Timer
+}
+
+func (r *Replica) newPull(cut wire.InstanceID) *pull {
+	p := &pull{r: r, cut: cut, topo: r.topo.Load(), target: int(r.groups[0].leaderHint.Load()),
+		timer: time.NewTimer(catchUpTimeout)}
+	if p.target == r.cfg.ID || !p.topo.Active(p.target) {
+		p.target = r.cfg.ID
+		p.rotate()
 	}
-	if _, err := s.f.Write(data); err != nil {
-		return err
+	return p
+}
+
+// rotate moves to the next active peer in ID order, wrapping; it skips self
+// and removed IDs.
+func (p *pull) rotate() {
+	for range len(p.topo.Peers) {
+		p.target = (p.target + 1) % len(p.topo.Peers)
+		if p.target != p.r.cfg.ID && p.topo.Active(p.target) {
+			return
+		}
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
+}
+
+// miss records a request that got nothing usable and moves to the next
+// peer; the pull gives up after every peer failed several times in a row.
+func (p *pull) miss() error {
+	p.misses++
+	p.rotate()
+	if p.misses > 4*p.topo.N() {
+		return fmt.Errorf("pull of snapshot %d stalled after %d failed requests", p.cut, p.misses)
 	}
-	s.size += uint64(len(data))
 	return nil
 }
 
-func (s *pullStage) bytes() ([]byte, error) {
-	if s.f == nil {
-		return s.mem, nil
+// fetch asks peers for one piece until an answer passes check.
+func (p *pull) fetch(manifest bool, idx int32, check func([]byte) bool) ([]byte, error) {
+	for {
+		req := wire.NewSnapshotChunkReq()
+		req.Cut, req.Manifest, req.Index = p.cut, manifest, idx
+		p.r.enqueueSend(p.target, 0, req)
+		p.timer.Reset(catchUpTimeout)
+	wait:
+		select {
+		case <-p.r.stop:
+			return nil, fmt.Errorf("replica stopping")
+		case c := <-p.r.puller.resp:
+			if c.manifest != manifest || c.index != idx {
+				goto wait // stale duplicate from an earlier round: ignore it
+			}
+			if c.ok && check(c.data) {
+				if !manifest {
+					p.misses = 0
+				}
+				return c.data, nil
+			}
+			// Refused (the peer moved past this cut) or not what the
+			// manifest names (its chain differs): another peer.
+		case <-p.timer.C:
+		}
+		if err := p.miss(); err != nil {
+			return nil, err
+		}
 	}
-	buf := make([]byte, s.size)
-	if _, err := s.f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
-// close releases the file handle but keeps the staged bytes — resume state
-// for the next attempt. The file itself is cleaned up by snapDisk.gc once a
-// manifest at or above its cut commits.
-func (s *pullStage) close() {
-	if s.f != nil {
-		// best-effort: every staged byte was already fsynced by append, so a
-		// close error cannot lose resume state.
-		_ = s.f.Close()
-		s.f = nil
-	}
-}
-
-// discard drops the staged bytes (verification failure: restart from 0).
-func (s *pullStage) discard() {
-	s.close()
-	s.mem = nil
-	if s.path != "" {
-		// best-effort: a leftover stage is re-truncated by the next pull.
-		_ = s.fs.Remove(s.path)
+// manifest fetches and decodes the snapshot's manifest: page 0 names the
+// total size, and any further pages follow. Pages from peers whose
+// manifests differ fail the decode, and the fetch starts over.
+func (p *pull) manifest() ([]byte, *snapshot.Manifest, error) {
+	for {
+		enc, err := p.fetch(true, 0, func(b []byte) bool {
+			_, err := snapshot.ManifestSize(b)
+			return err == nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		size, _ := snapshot.ManifestSize(enc)
+		for page := len(enc); len(enc) < size; {
+			want := min(page, size-len(enc))
+			next, err := p.fetch(true, int32(len(enc)/page), func(b []byte) bool { return len(b) == want })
+			if err != nil {
+				return nil, nil, err
+			}
+			enc = append(enc, next...)
+		}
+		m, err := snapshot.DecodeManifest(enc)
+		if err == nil && m.Cut == p.cut {
+			p.misses = 0
+			return enc, m, nil
+		}
+		if err := p.miss(); err != nil {
+			return nil, nil, err
+		}
 	}
 }

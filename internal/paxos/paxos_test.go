@@ -517,7 +517,7 @@ func TestCatchUpServedFromColdStore(t *testing.T) {
 		}
 		return out, true
 	}
-	meta := wire.SnapshotMeta{LastIncluded: 4, TotalBytes: 5}
+	meta := wire.SnapshotMeta{LastIncluded: 4}
 	l := NewNode(Options{
 		ID: 0, N: 3, Window: 16,
 		Snapshots:   func() (wire.SnapshotMeta, bool) { return meta, true },
@@ -561,7 +561,7 @@ func TestCatchUpServedFromColdStore(t *testing.T) {
 }
 
 func TestCatchUpWithSnapshot(t *testing.T) {
-	meta := wire.SnapshotMeta{LastIncluded: 4, TotalBytes: 7}
+	meta := wire.SnapshotMeta{LastIncluded: 4}
 	l := NewNode(Options{ID: 0, N: 3, Snapshots: func() (wire.SnapshotMeta, bool) { return meta, true }})
 	f1 := NewNode(Options{ID: 1, N: 3})
 	e := l.Start()
@@ -993,7 +993,7 @@ func TestPropertyRandomScheduleAgreementN5(t *testing.T) {
 func TestRefusedInstallResurfacesAfterTimeout(t *testing.T) {
 	f2 := NewNode(Options{ID: 2, N: 3})
 	resp := &wire.CatchUpResp{HasSnapshot: true, Meta: wire.SnapshotMeta{
-		LastIncluded: 4, TotalBytes: 1}}
+		LastIncluded: 4}}
 	e := f2.HandleMessage(0, resp)
 	if e.InstallSnapshot == nil {
 		t.Fatal("snapshot not surfaced")
@@ -1026,7 +1026,7 @@ func TestGroupScopedSnapshotInstall(t *testing.T) {
 	// the snapshot; the cut is released after the snapshot is durable.)
 	f := NewNode(Options{ID: 2, N: 3, Group: 1, Groups: 4})
 	resp := &wire.CatchUpResp{HasSnapshot: true, Meta: wire.SnapshotMeta{
-		LastIncluded: 99, Groups: 4, TotalBytes: 1}}
+		LastIncluded: 99, Groups: 4}}
 	e := f.HandleMessage(0, resp)
 	if e.InstallSnapshot == nil || e.InstallSnapshot.LastIncluded != 99 {
 		t.Fatalf("InstallSnapshot effect = %+v", e.InstallSnapshot)
@@ -1043,7 +1043,7 @@ func TestGroupScopedSnapshotInstall(t *testing.T) {
 	// A topology-mismatched snapshot must not touch the log.
 	f2 := NewNode(Options{ID: 2, N: 3, Group: 1, Groups: 4})
 	bad := &wire.CatchUpResp{HasSnapshot: true, Meta: wire.SnapshotMeta{
-		LastIncluded: 99, Groups: 2, TotalBytes: 1}}
+		LastIncluded: 99, Groups: 2}}
 	e = f2.HandleMessage(0, bad)
 	if e.InstallSnapshot != nil {
 		t.Error("mismatched-groups snapshot installed")

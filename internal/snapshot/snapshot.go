@@ -1,11 +1,8 @@
 // Package snapshot defines the chunked snapshot contract shared by the
-// service layer and the replica core.
+// service layer and the replica core, and the one format a snapshot has.
 //
-// The old contract — Snapshot() ([]byte, error) — forced three unbounded
-// costs at once: the cut serialized the whole state under a quiesced
-// executor (pause ∝ state size), the blob hit disk as one write (bytes ∝
-// state size regardless of churn), and it crossed the wire as the last
-// unbounded frame in the system. The chunked contract splits those:
+// A snapshot is its manifest and its chunks — in memory, on disk and on the
+// wire alike:
 //
 //   - A Cutter marks a consistent cut and returns a Source. Marking is
 //     cheap (copy-on-write: the service clones a key's pre-cut value only
@@ -13,16 +10,21 @@
 //     immediately and the chunks drain concurrently.
 //   - A Source yields deterministic, sorted, size-bounded chunks. Given the
 //     same cut state and the same maxBytes, every replica produces the
-//     identical chunk sequence — chunk files and transfer images are
-//     byte-comparable across the cluster.
+//     identical chunk sequence, so chunks are byte-comparable across the
+//     cluster.
 //   - A generation (Gen) is one cut's worth of chunks, either Full (the
 //     complete state) or a delta against the previous generation. Chains of
 //     generations fold oldest→newest into the state at the newest cut, so
 //     steady-state persistence writes only what changed.
+//   - A Manifest names a snapshot: its cut, group count and topology, and
+//     the (length, CRC32) of every chunk of every generation and of the
+//     reply cache, in one order. The replica keeps the manifest beside the
+//     chunks it names, writes the same bytes as its on-disk commit record,
+//     and serves them to a joiner, which then fetches and verifies chunks
+//     one by one against it.
 //
-// Services that do not implement Cutter keep working: the core wraps their
-// Snapshot() blob in a single always-full generation, split into bounded
-// chunks at arbitrary byte offsets (see the core's blob adapter).
+// A service that offers only a whole-state blob is wrapped once, by
+// Chunked, into a Cutter whose every generation is full.
 package snapshot
 
 import "errors"
@@ -100,75 +102,9 @@ func Drain(src Source, maxBytes int) ([][]byte, error) {
 	}
 }
 
-// EncodeChain frames a chain of generations into one blob — the in-memory
-// currency for an assembled snapshot's service state (wire.Snapshot
-// carries it, the disk manifest decomposes it, transfer re-frames it).
-//
-// Layout: u32 ngens, then per generation: u8 full, u32 nchunks, then per
-// chunk: u32 len + bytes. All little-endian.
-func EncodeChain(gens []Gen) []byte {
-	n := 4
-	for _, g := range gens {
-		n += 5
-		for _, c := range g.Chunks {
-			n += 4 + len(c)
-		}
-	}
-	b := make([]byte, 0, n)
-	b = appendU32(b, uint32(len(gens)))
-	for _, g := range gens {
-		if g.Full {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendU32(b, uint32(len(g.Chunks)))
-		for _, c := range g.Chunks {
-			b = appendU32(b, uint32(len(c)))
-			b = append(b, c...)
-		}
-	}
-	return b
-}
-
-// DecodeChain parses an EncodeChain blob. The returned chunk slices borrow
-// from b — valid only while b is.
-func DecodeChain(b []byte) ([]Gen, error) {
-	ngens, rest, ok := takeU32(b)
-	if !ok || uint64(ngens) > uint64(len(rest)) {
-		return nil, ErrCorruptChunk
-	}
-	gens := make([]Gen, 0, ngens)
-	for range ngens {
-		if len(rest) == 0 {
-			return nil, ErrCorruptChunk
-		}
-		g := Gen{Full: rest[0] == 1}
-		var nchunks uint32
-		nchunks, rest, ok = takeU32(rest[1:])
-		if !ok || uint64(nchunks) > uint64(len(rest)) {
-			return nil, ErrCorruptChunk
-		}
-		g.Chunks = make([][]byte, 0, nchunks)
-		for range nchunks {
-			var c []byte
-			c, rest, ok = takeBytes(rest)
-			if !ok {
-				return nil, ErrCorruptChunk
-			}
-			g.Chunks = append(g.Chunks, c)
-		}
-		gens = append(gens, g)
-	}
-	if len(rest) != 0 {
-		return nil, ErrCorruptChunk
-	}
-	return gens, nil
-}
-
-// SplitBlob slices blob into cap-sized chunks at arbitrary byte offsets —
-// the shape of a blob service's single full generation. Concatenating the
-// chunks reproduces blob exactly. A nil/empty blob yields no chunks.
+// SplitBlob slices blob into cap-sized chunks at arbitrary byte offsets.
+// Concatenating the chunks reproduces blob exactly. A nil/empty blob yields
+// no chunks.
 func SplitBlob(blob []byte, maxBytes int) [][]byte {
 	if maxBytes <= 0 {
 		maxBytes = 1
@@ -193,24 +129,4 @@ func JoinChunks(chunks [][]byte) []byte {
 		b = append(b, c...)
 	}
 	return b
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func takeU32(b []byte) (uint32, []byte, bool) {
-	if len(b) < 4 {
-		return 0, nil, false
-	}
-	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return v, b[4:], true
-}
-
-func takeBytes(b []byte) ([]byte, []byte, bool) {
-	n, rest, ok := takeU32(b)
-	if !ok || uint64(n) > uint64(len(rest)) {
-		return nil, nil, false
-	}
-	return rest[:n:n], rest[n:], true
 }

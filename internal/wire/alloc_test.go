@@ -19,11 +19,10 @@ func TestEncodeHotPathAllocs(t *testing.T) {
 		{ClientID: 2, Seq: 7, Payload: make([]byte, 128)},
 	}
 	// The transfer responder's steady state: one pooled chunk per request,
-	// Data borrowing the snapshot image.
-	image := make([]byte, 64<<10)
+	// Data borrowing the snapshot's chunk.
 	chunk := NewSnapshotChunk()
-	chunk.Cut, chunk.Total, chunk.OK = 42, uint64(len(image)), true
-	chunk.Data = image[:32<<10]
+	chunk.Cut, chunk.Index, chunk.OK = 42, 7, true
+	chunk.Data = make([]byte, 32<<10)
 	// Every peer frame rides a header envelope, reused by the sender
 	// exactly like this.
 	peer := &PeerMsg{Epoch: 3, Group: 2, Msg: propose}
@@ -44,8 +43,8 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 	propose := Marshal(&Propose{View: 3, ID: 42, DecidedUpTo: 41, Value: make([]byte, 1300)})
 	peer := Marshal(&PeerMsg{Epoch: 3, Group: 2, Msg: &Propose{View: 3, ID: 42, Value: make([]byte, 1300)}})
 	accept := Marshal(&Accept{View: 3, ID: 42})
-	chunkReq := Marshal(&SnapshotChunkReq{Cut: 42, Offset: 4096, MaxBytes: 32 << 10})
-	chunkResp := Marshal(&SnapshotChunk{Cut: 42, Offset: 4096, Total: 1 << 20, OK: true,
+	chunkReq := Marshal(&SnapshotChunkReq{Cut: 42, Index: 7})
+	chunkResp := Marshal(&SnapshotChunk{Cut: 42, Index: 7, OK: true,
 		Data: make([]byte, 32<<10)})
 	batch := EncodeBatch([]*ClientRequest{
 		{ClientID: 1, Seq: 1, Payload: make([]byte, 128)},

@@ -28,9 +28,11 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 		&CatchUpQuery{From: 10, To: 20},
 		&CatchUpResp{Entries: []DecidedValue{{ID: 10, Value: []byte("x")}}},
 		&CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{
-			LastIncluded: 9, Groups: 4, TotalBytes: 1 << 30}},
-		&SnapshotChunkReq{Cut: 9, Offset: 1 << 20, MaxBytes: 256 << 10},
-		&SnapshotChunk{Cut: 9, Offset: 1 << 20, Total: 1 << 30, OK: true, Data: []byte("chunk-data")},
+			LastIncluded: 9, Groups: 4}},
+		&SnapshotChunkReq{Cut: 9, Index: 1 << 20},
+		&SnapshotChunkReq{Cut: 9, Manifest: true, Index: -1},
+		&SnapshotChunk{Cut: 9, Index: 1 << 20, OK: true, Data: []byte("chunk-data")},
+		&SnapshotChunk{Cut: 9, Manifest: true, OK: true, Data: []byte("manifest-page")},
 		&SnapshotChunk{Cut: 9, OK: false},
 		&ClientRequest{ClientID: 0xdeadbeef, Seq: 17, Payload: []byte("hello")},
 		&ClientReply{ClientID: 1, Seq: 2, OK: true, Redirect: NoRedirect, Payload: []byte("ok")},
@@ -111,7 +113,7 @@ func FuzzUnmarshalPeerRoundTrip(f *testing.F) {
 		&Heartbeat{View: 7, DecidedUpTo: 43, LeaseMS: 250, LeaseSeq: 9},
 		&PrepareOK{View: 7, Entries: []InstanceState{{ID: 42, AcceptedView: 3, Decided: true, Value: []byte("abc")}}},
 		&CatchUpResp{Entries: []DecidedValue{{ID: 10, Value: []byte("x")}}},
-		&SnapshotChunk{Cut: 9, Offset: 1 << 20, Total: 1 << 30, OK: true, Data: []byte("chunk-data")},
+		&SnapshotChunk{Cut: 9, Index: 3, OK: true, Data: []byte("chunk-data")},
 		&LeaseAck{View: 7, Seq: 9},
 		&ReadIndexResp{Seq: 4, Index: 99, OK: true},
 		&TopoUpdate{Topo: Topology{Epoch: 3, BaseView: 12, Groups: 2, Peers: []string{"a:1", "", "c:3"}}},

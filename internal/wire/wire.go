@@ -307,60 +307,22 @@ type DecidedValue struct {
 	Value []byte
 }
 
-// Snapshot is the in-memory assembled snapshot — the currency between the
-// ServiceManager, Merger, ordering groups, and boot. LastIncluded is an
-// index into the replica's *merged* total order: with multi-group ordering
-// the per-group log positions it covers are derived with GroupCut.
-//
-// A Snapshot never crosses the wire whole anymore: catch-up carries only a
-// SnapshotMeta describing it, and the requester pulls the snapshot's
-// serialized image in bounded SnapshotChunk frames. ServiceState holds the
-// service's framed generation chain (see internal/snapshot.EncodeChain) —
-// for chunk-contract services a base generation plus deltas, for blob
-// services a single full generation.
-type Snapshot struct {
-	LastIncluded InstanceID // state covers all merged instances <= LastIncluded
-	ServiceState []byte
-	ReplyCache   []byte
-	// Groups records how many ordering groups produced the merged order the
-	// snapshot was cut from. 0 and 1 both mean single-group.
-	Groups int32
-	// Topo is the encoded cluster topology (EncodeTopology) in force at the
-	// cut, nil on legacy epoch-0 snapshots. A joiner bootstrapping through
-	// state transfer learns the epoch it is joining from here, and a reboot
-	// from a snapshot resumes in the shape it crashed in.
-	Topo []byte
-}
-
 // SnapshotMeta describes an available snapshot without carrying its state:
 // the catch-up answer when the responder has truncated the log below the
-// requested range. The requester pulls the TotalBytes-long snapshot image
-// with SnapshotChunkReq/SnapshotChunk rounds, then installs the decoded
-// Snapshot.
+// requested range. The requester pulls the snapshot's manifest and then its
+// chunks with SnapshotChunkReq/SnapshotChunk rounds, then installs it.
 type SnapshotMeta struct {
 	LastIncluded InstanceID
 	Groups       int32
-	TotalBytes   uint64
 }
 
-// GroupCount normalizes the meta's group topology exactly like
-// Snapshot.GroupCount.
+// GroupCount normalizes the meta's group count: 0 and 1 both mean
+// single-group.
 func (m SnapshotMeta) GroupCount() int {
 	if m.Groups <= 1 {
 		return 1
 	}
 	return int(m.Groups)
-}
-
-// GroupCount normalizes the snapshot's group topology: 0 (a legacy frame
-// with no metadata) and 1 both mean single-group. Every consumer must use
-// this — a snapshot is only installable on a replica running the same
-// number of ordering groups.
-func (s Snapshot) GroupCount() int {
-	if s.Groups <= 1 {
-		return 1
-	}
-	return int(s.Groups)
 }
 
 // GroupCut returns the first group-local instance of group g that is NOT
@@ -463,7 +425,7 @@ func (t *Topology) Clone() *Topology {
 	return &cp
 }
 
-// GroupCount normalizes Groups exactly like Snapshot.GroupCount.
+// GroupCount normalizes Groups exactly like SnapshotMeta.GroupCount.
 func (t *Topology) GroupCount() int {
 	if t.Groups <= 1 {
 		return 1
@@ -619,34 +581,34 @@ type CatchUpResp struct {
 // Type implements Message.
 func (*CatchUpResp) Type() MsgType { return TCatchUpResp }
 
-// SnapshotChunkReq asks a peer for MaxBytes of the snapshot image cut at
-// Cut (its LastIncluded merged index), starting at byte Offset. The puller
-// keeps a single request outstanding and advances Offset by what it
-// received — which is what makes the pull resumable (after a reconnect or
-// restart it continues from the last byte it durably staged, not byte 0)
-// and rate-limitable (the requester paces its own requests).
+// SnapshotChunkReq asks a peer for one piece of the snapshot cut at Cut
+// (its LastIncluded merged index): chunk Index in manifest order, or, with
+// Manifest set, page Index of the encoded manifest (pages are the
+// responder's SnapshotChunkBytes long; a manifest usually fits in page 0).
+// The puller keeps a single request outstanding, which makes the pull
+// self-clocked, and addresses chunks by index, which makes it resumable:
+// a chunk already staged and matching its manifest entry is never asked
+// for again.
 type SnapshotChunkReq struct {
 	Cut      InstanceID
-	Offset   uint64
-	MaxBytes uint32
+	Manifest bool
+	Index    int32
 }
 
 // Type implements Message.
 func (*SnapshotChunkReq) Type() MsgType { return TSnapshotChunkReq }
 
-// SnapshotChunk answers a SnapshotChunkReq with one bounded slice of the
-// snapshot image: Data is image[Offset : Offset+len(Data)] of an image
-// Total bytes long. OK is false when the responder no longer holds a
-// snapshot at Cut (it moved on to a newer one); the puller then restarts
-// against the responder's current snapshot. Every frame respects the
-// requester's MaxBytes — the snapshot never crosses the wire as a single
-// unbounded unit.
+// SnapshotChunk answers a SnapshotChunkReq with the chunk or manifest page
+// it names. OK is false when the responder does not hold a snapshot at Cut
+// (it moved on to a newer one) or the index is out of range; the puller
+// then asks another peer. One frame carries one chunk — the snapshot never
+// crosses the wire as a single unbounded unit.
 type SnapshotChunk struct {
-	Cut    InstanceID
-	Offset uint64
-	Total  uint64
-	OK     bool
-	Data   []byte
+	Cut      InstanceID
+	Manifest bool
+	Index    int32
+	OK       bool
+	Data     []byte
 }
 
 // Type implements Message.
@@ -911,13 +873,13 @@ func Size(m Message) int {
 		}
 		n++ // HasSnapshot flag
 		if v.HasSnapshot {
-			n += 8 + 4 + 8 // SnapshotMeta: LastIncluded, Groups, TotalBytes
+			n += 8 + 4 // SnapshotMeta: LastIncluded, Groups
 		}
 		return n
 	case *SnapshotChunkReq:
-		return 1 + 8 + 8 + 4
+		return 1 + 8 + 1 + 4
 	case *SnapshotChunk:
-		return 1 + 8 + 8 + 8 + 1 + 4 + len(v.Data)
+		return 1 + 8 + 1 + 4 + 1 + 4 + len(v.Data)
 	case *ClientRequest:
 		return 1 + 8 + 8 + 4 + len(v.Payload)
 	case *ClientReply:
@@ -994,16 +956,15 @@ func AppendMessage(dst []byte, m Message) []byte {
 		if v.HasSnapshot {
 			a.i64(int64(v.Meta.LastIncluded))
 			a.i32(v.Meta.Groups)
-			a.u64(v.Meta.TotalBytes)
 		}
 	case *SnapshotChunkReq:
 		a.i64(int64(v.Cut))
-		a.u64(v.Offset)
-		a.u32(v.MaxBytes)
+		a.bool(v.Manifest)
+		a.i32(v.Index)
 	case *SnapshotChunk:
 		a.i64(int64(v.Cut))
-		a.u64(v.Offset)
-		a.u64(v.Total)
+		a.bool(v.Manifest)
+		a.i32(v.Index)
 		a.bool(v.OK)
 		a.bytes(v.Data)
 	case *ClientRequest:
@@ -1230,21 +1191,20 @@ func decodeMessage(r *reader) (Message, error) {
 			v.Meta = SnapshotMeta{
 				LastIncluded: InstanceID(r.i64()),
 				Groups:       r.i32(),
-				TotalBytes:   r.u64(),
 			}
 		}
 		m = v
 	case TSnapshotChunkReq:
 		v := chunkReqPool.Get().(*SnapshotChunkReq)
 		v.Cut = InstanceID(r.i64())
-		v.Offset = r.u64()
-		v.MaxBytes = r.u32()
+		v.Manifest = r.bool()
+		v.Index = r.i32()
 		m = v
 	case TSnapshotChunk:
 		v := chunkPool.Get().(*SnapshotChunk)
 		v.Cut = InstanceID(r.i64())
-		v.Offset = r.u64()
-		v.Total = r.u64()
+		v.Manifest = r.bool()
+		v.Index = r.i32()
 		v.OK = r.bool()
 		v.Data = r.bytes()
 		m = v

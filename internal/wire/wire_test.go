@@ -24,9 +24,11 @@ func allMessages() []Message {
 		&CatchUpQuery{From: 10, To: 20},
 		&CatchUpResp{Entries: []DecidedValue{{ID: 10, Value: []byte("x")}}},
 		&CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{
-			LastIncluded: 9, Groups: 2, TotalBytes: 123456}},
-		&SnapshotChunkReq{Cut: 9, Offset: 4096, MaxBytes: 1024},
-		&SnapshotChunk{Cut: 9, Offset: 4096, Total: 123456, OK: true, Data: []byte("image-bytes")},
+			LastIncluded: 9, Groups: 2}},
+		&SnapshotChunkReq{Cut: 9, Index: 4096},
+		&SnapshotChunkReq{Cut: 9, Manifest: true, Index: 1},
+		&SnapshotChunk{Cut: 9, Index: 4096, OK: true, Data: []byte("chunk-bytes")},
+		&SnapshotChunk{Cut: 9, Manifest: true, Index: 1, OK: true, Data: []byte("manifest-page")},
 		&SnapshotChunk{Cut: 9, OK: false},
 		&ClientRequest{ClientID: 0xdeadbeef, Seq: 17, Payload: []byte("hello")},
 		&ClientReply{ClientID: 0xdeadbeef, Seq: 17, OK: true, Redirect: NoRedirect, Payload: []byte("ok")},
@@ -474,15 +476,9 @@ func TestUnmarshalPeerRejects(t *testing.T) {
 }
 
 func TestSnapshotMetaEncoding(t *testing.T) {
-	// A snapshot-bearing catch-up response carries only metadata — its size
-	// is independent of the state size it describes.
-	small := &CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{LastIncluded: 9, TotalBytes: 64}}
-	huge := &CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{LastIncluded: 9, TotalBytes: 64 << 30}}
-	if Size(small) != Size(huge) {
-		t.Errorf("meta size varies with TotalBytes: %d vs %d", Size(small), Size(huge))
-	}
-	multi := &CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{
-		LastIncluded: 41, Groups: 4, TotalBytes: 12345}}
+	// A snapshot-bearing catch-up response carries only metadata: the cut
+	// and the group count, nothing sized by the state it describes.
+	multi := &CatchUpResp{HasSnapshot: true, Meta: SnapshotMeta{LastIncluded: 41, Groups: 4}}
 	got, err := Unmarshal(Marshal(multi))
 	if err != nil {
 		t.Fatal(err)
@@ -498,14 +494,14 @@ func TestSnapshotMetaEncoding(t *testing.T) {
 func TestSnapshotChunkRoundTrip(t *testing.T) {
 	// The transfer frames must round-trip exactly and respect borrow
 	// semantics: a Retained chunk survives frame reuse.
-	frame := Marshal(&SnapshotChunk{Cut: 77, Offset: 8192, Total: 1 << 20, OK: true,
+	frame := Marshal(&SnapshotChunk{Cut: 77, Index: 12, OK: true,
 		Data: bytes.Repeat([]byte{0xAB}, 512)})
 	m, err := Unmarshal(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.(*SnapshotChunk)
-	if c.Cut != 77 || c.Offset != 8192 || c.Total != 1<<20 || !c.OK || len(c.Data) != 512 {
+	if c.Cut != 77 || c.Manifest || c.Index != 12 || !c.OK || len(c.Data) != 512 {
 		t.Fatalf("round trip = %+v", c)
 	}
 	Retain(c)

@@ -230,32 +230,31 @@ func TestKillNineProcessRestartRecovery(t *testing.T) {
 
 // TestKillInsideSnapshotInstallRestartRecovers closes the transferred-
 // snapshot cut window: a lagging replica is crashed INSIDE the install of a
-// snapshot it received via state transfer, at four deterministic points
+// snapshot it received via state transfer, at three deterministic points
 // armed through GOSMR_CRASHPOINT, in pipeline order —
 //
 //   - "transfer-chunk": mid-pull, right after the first fetched chunk was
-//     fsynced into the staging file. The snapshot is a partial .part file;
-//     reboot must either resume the pull from the staged offset or restart
-//     it — never install from the torn prefix.
-//   - "transfer-install": the snapshot has arrived at the installer but
-//     nothing install-related is on disk yet. Before persist-before-cut, the
+//     fsynced into its generation directory; no manifest references it.
+//     Reboot must resume the pull (skipping the staged chunks that match
+//     the manifest) or restart it — never install from a torn chain. The
+//     pull stages chunks in place, so the install writes no chunks of its
+//     own: a kill mid-persist would leave this same disk state (generation
+//     directories half written, the old manifest still the newest intact
+//     one), and this point covers both.
+//   - "transfer-install": every chunk is staged and fsynced but the
+//     manifest is not committed. Before persist-before-cut, the
 //     ordering groups had already journaled their log cuts by this moment
 //     (the catch-up handler fast-forwarded immediately), so a crash here
 //     left WAL cuts with no covering snapshot and reboot refused the
 //     DataDir ("clear ... to rejoin via state transfer").
-//   - "persist-chunk": mid-persist, after the first chunk file of the
-//     installed snapshot's generation directory hit disk but before the
-//     manifest rename that commits it. Reboot must treat the half-written
-//     generation as garbage (the old manifest is still the newest intact
-//     one) and redo the install.
 //   - "transfer-persisted": the snapshot is durably on disk (manifest
 //     renamed), the cuts are not journaled yet. Reboot must come up from
 //     the new snapshot with the old WAL suffix covered idempotently.
 //
-// The test runs with a small -snapshot-chunk-bytes so both the transfer and
-// the persisted generation are genuinely multi-chunk streams — the chunk
-// crash points then prove a kill -9 at a chunk boundary (not just between
-// whole snapshots) reboots cleanly.
+// The test runs with a small -snapshot-chunk-bytes so the transfer is a
+// genuinely multi-chunk stream — the chunk crash point then proves a kill
+// -9 at a chunk boundary (not just between whole snapshots) reboots
+// cleanly.
 //
 // After each crash the replica must reboot from its DataDir — no refusal —
 // and after the final (uncrashed) restart it must be a functioning acceptor:
@@ -338,11 +337,11 @@ func TestKillInsideSnapshotInstallRestartRecovers(t *testing.T) {
 			}
 
 			// Crash inside the install window, at each armed point in turn
-			// (pipeline order: pull staging, install entry, persist chunk
-			// stream, persist committed). Each run must die via the crash
+			// (pipeline order: chunk staged, all staged, manifest
+			// committed). Each run must die via the crash
 			// point (exit code 137), proving the snapshot transfer actually
 			// reached that stage.
-			for _, point := range []string{"transfer-chunk", "transfer-install", "persist-chunk", "transfer-persisted"} {
+			for _, point := range []string{"transfer-chunk", "transfer-install", "transfer-persisted"} {
 				procs[2].env = []string{"GOSMR_CRASHPOINT=" + point}
 				procs[2].start()
 				if code := procs[2].waitExit(90 * time.Second); code != 137 {
