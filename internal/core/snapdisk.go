@@ -150,9 +150,15 @@ func (s *snapDisk) stage(l layout, i int, data []byte, live map[string]bool) err
 }
 
 // syncGens fsyncs the generation directories of a fully staged manifest, so
-// every chunk's directory entry is durable before the commit.
+// every chunk's directory entry is durable before the commit. It makes each
+// directory first: a generation with no chunks (a delta cut of a clean
+// store) gets none from stage, and boot must still find every directory the
+// manifest names.
 func (s *snapDisk) syncGens(l layout) error {
 	for _, gdir := range l.dirs {
+		if err := s.fs.MkdirAll(gdir, 0o755); err != nil {
+			return err
+		}
 		if err := s.fs.SyncDir(gdir); err != nil {
 			return err
 		}
@@ -295,27 +301,31 @@ func (s *snapDisk) loadManifest(name string) (*Snapshot, error) {
 }
 
 // referenced returns the generation directories the two retained (newest)
-// manifests name.
+// manifests name. A retained manifest that cannot be read or decoded names
+// nothing in the map, and the first such error is returned alongside it.
 func (s *snapDisk) referenced() (map[string]bool, error) {
 	names, err := manifestFiles(s.fs, s.dir)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+	if os.IsNotExist(err) {
+		err = nil
 	}
 	live := make(map[string]bool)
 	for _, name := range names[max(0, len(names)-2):] {
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return nil, err
+		data, rerr := s.fs.ReadFile(filepath.Join(s.dir, name))
+		var m *snapshot.Manifest
+		if rerr == nil {
+			m, rerr = snapshot.DecodeManifest(data)
 		}
-		m, err := snapshot.DecodeManifest(data)
-		if err != nil {
-			return nil, err
+		if rerr != nil {
+			if err == nil {
+				err = fmt.Errorf("manifest %s: %w", name, rerr)
+			}
+			continue
 		}
 		for _, g := range m.Gens {
 			live[genDirName(g)] = true
 		}
 	}
-	return live, nil
+	return live, err
 }
 
 // gc prunes everything the two newest manifests do not reference: older

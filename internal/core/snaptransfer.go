@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -114,8 +115,11 @@ func (r *Replica) pullSnapshot(meta wire.SnapshotMeta) (*Snapshot, error) {
 	var live map[string]bool
 	var l layout
 	if r.snapDisk != nil {
+		// A damaged local manifest is what a transfer routes around, so it
+		// does not block one: it protects no directory here, and boot
+		// quarantines it. gc keeps everything while it is retained.
 		if live, err = r.snapDisk.referenced(); err != nil {
-			return nil, err
+			log.Printf("gosmr: pulling snapshot %d past an unreadable local %v", m.Cut, err)
 		}
 		l = r.snapDisk.layout(m)
 	}

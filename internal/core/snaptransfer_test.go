@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -274,5 +276,68 @@ func TestSnapshotPullChecksEveryChunk(t *testing.T) {
 	}
 	if err := joiner.restoreFromSnapshot(got); err != nil || len(svc.gens[0].Chunks) != n {
 		t.Fatalf("restore: %v", err)
+	}
+}
+
+// TestSnapshotPullEmptyGeneration: a chain may hold a generation with no
+// chunks — a delta cut of a clean store. A joiner with a DataDir pulls and
+// commits such a chain, and a damaged manifest of its own does not block
+// the pull: the transfer routes around it, and boot quarantines it.
+func TestSnapshotPullEmptyGeneration(t *testing.T) {
+	const chunkBytes = 64
+	joiner, donors, svc := transferCluster(t, 3, chunkBytes, 1)
+	donor := donors[0]
+	topo := wire.EncodeTopology(donor.topo.Load())
+	rc := snapshot.SplitBlob(donor.replyCache.Marshal(), chunkBytes)
+	base := donor.snapshots.get()
+	base = newSnapshot(nil, 50, 1, topo, true, base.chunks[:3], nil)
+	clean := newSnapshot(base, 70, 1, topo, false, nil, nil)
+	want := newSnapshot(clean, 99, 1, topo, false, [][]byte{bytes.Repeat([]byte{7}, chunkBytes)}, rc)
+	donor.snapshots.put(want)
+
+	if err := os.MkdirAll(joiner.snapDisk.dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rotten := filepath.Join(joiner.snapDisk.dir, manifestName(40))
+	if err := os.WriteFile(rotten, []byte("not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := joiner.sendQueue(1)
+	defer out.Close()
+	go func() {
+		for {
+			it, err := out.Take(nil)
+			if err != nil {
+				return
+			}
+			donor.serveSnapshotChunk(0, it.msg.(*wire.SnapshotChunkReq))
+			answer, ok := donor.sendQueue(0).TryTake()
+			if !ok {
+				t.Error("request went unanswered")
+				return
+			}
+			joiner.puller.deliver(answer.msg.(*wire.SnapshotChunk))
+		}
+	}()
+	got, err := joiner.pullSnapshot(wire.SnapshotMeta{LastIncluded: 99, Groups: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := joiner.snapDisk.commit(got); err != nil {
+		t.Fatal(err)
+	}
+	loaded, skipped, err := joiner.snapDisk.loadNewest()
+	if err != nil || loaded == nil || !bytes.Equal(loaded.image(), want.image()) {
+		t.Fatalf("reloaded snapshot differs from the donor's (err %v)", err)
+	}
+	if len(skipped) != 0 {
+		t.Errorf("boot skipped %v, want the pulled manifest first", skipped)
+	}
+	if err := joiner.restoreFromSnapshot(loaded); err != nil {
+		t.Fatal(err)
+	}
+	if len(svc.gens) != 3 || len(svc.gens[1].Chunks) != 0 {
+		t.Fatalf("restored %d generations, want 3 with an empty middle one", len(svc.gens))
 	}
 }
